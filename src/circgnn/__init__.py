@@ -49,7 +49,6 @@ from .gnn import (
     densify_weights,
     derived_seed,
     forward,
-    gat_attention,
     matvec,
     random_weights,
 )

@@ -61,6 +61,9 @@ def _parse_batch(spec: str, num_nodes: int) -> list[int]:
         raise InputParseError(f"--batch must be 'all' or comma-separated IDs: {exc}") from exc
     if not batch:
         raise InputParseError("--batch selected no nodes")
+    outside = [v for v in batch if not 0 <= v < num_nodes]
+    if outside:
+        raise SchemaError(f"--batch node {outside[0]} out of range [0, {num_nodes})")
     return batch
 
 
@@ -70,7 +73,7 @@ def _cmd_infer(args) -> RunReport:
     model = GnnModel(config, layers)
     g = load_edge_list(args.graph, args.features)
     batch = _parse_batch(args.batch, g.num_nodes)
-    out = forward(model, g, batch, seed=args.seed, threads=args.threads)
+    out = forward(model, g, batch, seed=args.seed)
     if args.out:
         np.savetxt(args.out, out, delimiter=",")
     digest = {
@@ -86,7 +89,6 @@ def _cmd_infer(args) -> RunReport:
             "graph": str(args.graph),
             "features": None if args.features is None else str(args.features),
             "batch": args.batch,
-            "threads": args.threads,
             "variant": config.variant.value,
             "dims": [list(d) for d in config.dims],
             "sample_sizes": list(config.sample_sizes),
@@ -359,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--seed", type=int, default=0, help="base RNG seed")
     shared.add_argument("--report", default=None, help="write the JSON run report here")
-    shared.add_argument("--threads", type=int, default=1, help="worker threads for inference")
 
     parser = argparse.ArgumentParser(prog="circgnn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -12,8 +12,10 @@ Four variants are supported:
           heads concatenated;                          combine Elu(W a_v)
 
 Neighbor samples are drawn with replacement, GraphSAGE style, and the
-per-node sample seed is derived from (batch seed, layer, node) so that any
-execution order, including a threaded one, reproduces the same output.
+per-node sample seed is derived from (batch seed, layer, node).  ``forward``
+evaluates a batch layer by layer (GraphSAGE minibatch scheme), so each
+weight multiplies each distinct node that needs it once per layer, and
+every output row is bit-identical whatever else is in the batch.
 
 Weight multiplies dispatch on type: a numpy array multiplies densely, a
 BlockCirculantMatrix goes through the spectral path.
@@ -21,6 +23,7 @@ BlockCirculantMatrix goes through the spectral path.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -28,7 +31,7 @@ import numpy as np
 
 from .circulant import BlockCirculantMatrix, bc_matvec, new_random, to_dense
 from .errors import SchemaError
-from .graph import Graph, sample_neighbors
+from .graph import Graph, degrees, sample_neighbors
 
 
 class Variant(str, Enum):
@@ -58,14 +61,18 @@ def activation(kind: str, x):
 
 
 def matvec(weight, x) -> np.ndarray:
-    """Multiply by a weight that is either dense (ndarray) or block-circulant."""
+    """Multiply a vector, or each row of a (B, cols) batch, by a dense or block-circulant weight.
+
+    Dense weights run one product per row, never one gemm over the batch,
+    whose rounding would depend on which rows share it.
+    """
     if isinstance(weight, BlockCirculantMatrix):
         return bc_matvec(weight.spectral(), x)
     weight = np.asarray(weight)
-    x = np.asarray(x)
-    if weight.ndim != 2 or weight.shape[1] != x.shape[0]:
+    x = np.asarray(x, dtype=np.float64)
+    if weight.ndim != 2 or x.ndim not in (1, 2) or weight.shape[1] != x.shape[-1]:
         raise SchemaError(f"cannot multiply {weight.shape} by {x.shape}")
-    return weight @ x
+    return np.matmul(x[..., None, :], weight.T)[..., 0, :]
 
 
 def _weight_shape(weight) -> tuple[int, int]:
@@ -267,101 +274,84 @@ def densify_weights(layers: list[LayerWeights]) -> list[LayerWeights]:
 
 
 # --- aggregation -----------------------------------------------------------
+#
+# Aggregations take ``h``, one row per distinct sampled node of the layer,
+# and ``idx[f, s]``, the row of the s-th sample of frontier node f.  Results
+# are reduced over the samples one column of ``idx`` at a time, in sample
+# order, so no (frontier, samples, dim) array is ever built.
 
 
-def aggregate_gcn(g: Graph, h, v: int, samples) -> np.ndarray:
-    """Degree-normalized sum over the sample: sum_u h[u] / sqrt(deg(u) deg(v)).
+def _over_samples(op, idx: np.ndarray, term) -> np.ndarray:
+    """op-fold of term(s, idx[:, s]) over the samples, in sample order."""
+    return functools.reduce(op, (term(s, col) for s, col in enumerate(idx.T)))
 
-    Degrees come from the full graph; zero degrees count as one so isolated
-    nodes (which sample themselves) stay well defined.
+
+def aggregate_gcn(g: Graph, h, idx: np.ndarray, u, v) -> np.ndarray:
+    """Degree-normalized sum: row f is sum_s h[idx[f, s]] / sqrt(deg(u_s) deg(v_f)).
+
+    u holds the node IDs of the rows of h, v the frontier node IDs.  Degrees
+    come from the full graph; zero degrees count as one so isolated nodes
+    (which sample themselves) stay well defined.
     """
-    dv = max(g.degree(v), 1)
-    acc = None
-    for u in samples:
-        du = max(g.degree(int(u)), 1)
-        term = np.asarray(h[int(u)], dtype=np.float64) / np.sqrt(du * dv)
-        acc = term if acc is None else acc + term
-    return acc
+    deg = np.maximum(degrees(g), 1)
+    norm = np.sqrt(deg[u][idx] * deg[v][:, None])
+    return _over_samples(np.add, idx, lambda s, col: h[col] / norm[:, s, None])
 
 
-def aggregate_gspool(h_samples: np.ndarray, w_pool, b) -> np.ndarray:
-    """Element-wise max over Relu(W_pool h_u + b); order independent."""
-    h_samples = np.asarray(h_samples, dtype=np.float64)
-    pooled = [activation("relu", matvec(w_pool, row) + b) for row in h_samples]
-    return np.maximum.reduce(pooled)
+def aggregate_gspool(h, idx: np.ndarray, w_pool, b) -> np.ndarray:
+    """Element-wise max over the samples of Relu(W_pool h_u + b); order independent."""
+    pooled = activation("relu", matvec(w_pool, h) + b)
+    return _over_samples(np.maximum, idx, lambda s, col: pooled[col])
 
 
-def aggregate_ggcn(h_samples: np.ndarray, h_v, w_h, w_c) -> np.ndarray:
-    """Gated sum: sum_u sigmoid(W_H h_u + W_C h_v) * h_u.
+def aggregate_ggcn(h, idx: np.ndarray, h_v, w_h, w_c) -> np.ndarray:
+    """Gated sum: row f is sum_s sigmoid(W_H h_u + W_C h_v) * h_u with u = idx[f, s].
 
     The gate dimension equals the feature dimension, so the sigmoid output
-    multiplies h_u element-wise.  W_C h_v does not depend on u and is
-    computed once.
+    multiplies h_u element-wise.  W_H runs once per distinct sampled node
+    and W_C once per frontier node.
     """
-    h_samples = np.asarray(h_samples, dtype=np.float64)
-    center = matvec(w_c, np.asarray(h_v, dtype=np.float64))
-    acc = None
-    for row in h_samples:
-        gate = activation("sigmoid", matvec(w_h, row) + center)
-        if gate.shape != row.shape:
-            raise SchemaError("ggcn gate dimension must equal the feature dimension")
-        term = gate * row
-        acc = term if acc is None else acc + term
-    return acc
+    neighbor = matvec(w_h, h)
+    center = matvec(w_c, h_v)
+    if neighbor.shape != h.shape:
+        raise SchemaError("ggcn gate dimension must equal the feature dimension")
+    return _over_samples(
+        np.add, idx, lambda s, col: activation("sigmoid", neighbor[col] + center) * h[col]
+    )
 
 
-def aggregate_gat(h_samples: np.ndarray, h_v, lw: LayerWeights) -> np.ndarray:
-    """Multi-head attention over the sample, heads concatenated.
+def aggregate_gat(h, idx: np.ndarray, h_v, lw: LayerWeights) -> np.ndarray:
+    """Multi-head attention over the samples, heads concatenated.
 
-    Scores use projected features, e_j = LeakyRelu(a @ [W_att h_v, W_att h_j]);
-    the attention weights then mix the raw neighbor features h_j, and each
-    head contributes a vector of the input width.
+    Scores use projected features, e_s = LeakyRelu(a @ [W_att h_v, W_att h_s]),
+    softmax-normalized over the samples; the attention weights then mix the
+    raw neighbor features h_s, and each head contributes a vector of the
+    input width.
     """
-    h_samples = np.asarray(h_samples, dtype=np.float64)
-    h_v = np.asarray(h_v, dtype=np.float64)
     heads = []
     for w_att, a_att in zip(lw.W_att, lw.a_att):
         hd = a_att.shape[0] // 2
-        proj_v = matvec(w_att, h_v)
-        scores = np.empty(h_samples.shape[0])
-        for j, row in enumerate(h_samples):
-            proj_j = matvec(w_att, row)
-            scores[j] = activation(
-                "leaky_relu", a_att[:hd] @ proj_v + a_att[hd:] @ proj_j
-            )
-        weights = np.exp(scores - scores.max())
-        alpha = weights / weights.sum()
-        heads.append(alpha @ h_samples)
-    return np.concatenate(heads)
-
-
-def gat_attention(h_samples: np.ndarray, h_v, w_att, a_att) -> np.ndarray:
-    """Attention coefficients of one head; rows of a batch sum to one."""
-    h_samples = np.asarray(h_samples, dtype=np.float64)
-    hd = a_att.shape[0] // 2
-    proj_v = matvec(w_att, np.asarray(h_v, dtype=np.float64))
-    scores = np.array(
-        [
-            activation("leaky_relu", a_att[:hd] @ proj_v + a_att[hd:] @ matvec(w_att, row))
-            for row in h_samples
-        ]
-    )
-    weights = np.exp(scores - scores.max())
-    return weights / weights.sum()
+        # per-row products and explicit folds: a gemv or numpy reduction over
+        # many rows may sum in an order that depends on their number and layout
+        center = np.matmul(matvec(w_att, h_v)[:, None, :], a_att[:hd])[:, 0]
+        neighbor = np.matmul(matvec(w_att, h)[:, None, :], a_att[hd:])[:, 0]
+        scores = activation("leaky_relu", center[:, None] + neighbor[idx])
+        weights = np.exp(scores - scores.max(axis=1, keepdims=True))
+        alpha = weights / _over_samples(np.add, idx, lambda s, col: weights[:, s, None])
+        heads.append(_over_samples(np.add, idx, lambda s, col: alpha[:, s, None] * h[col]))
+    return np.concatenate(heads, axis=-1)
 
 
 # --- combination and the forward pass --------------------------------------
 
 
 def combine(variant: Variant, a_v: np.ndarray, h_v: np.ndarray, w) -> np.ndarray:
-    """Apply the combination weight and the variant's nonlinearity."""
+    """Apply the combination weight and the variant's nonlinearity, row by row."""
     variant = Variant(variant)
+    x = np.asarray(a_v, dtype=np.float64)
     if variant is Variant.GS_POOL:
-        x = np.concatenate([np.asarray(a_v, dtype=np.float64), np.asarray(h_v, dtype=np.float64)])
-    else:
-        x = np.asarray(a_v, dtype=np.float64)
-    y = matvec(w, x)
-    return activation("elu" if variant is Variant.GAT else "relu", y)
+        x = np.concatenate([x, np.asarray(h_v, dtype=np.float64)], axis=-1)
+    return activation("elu" if variant is Variant.GAT else "relu", matvec(w, x))
 
 
 def derived_seed(seed: int, layer: int, node: int) -> int:
@@ -370,60 +360,48 @@ def derived_seed(seed: int, layer: int, node: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _node_repr(model: GnnModel, g: Graph, v: int, k: int, seed: int, memo: dict) -> np.ndarray:
-    if k == 0:
-        return g.features[v]
-    key = (k, v)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    cfg = model.config
-    lw = model.layers[k - 1]
-    s_k = cfg.sample_sizes[k - 1]
-    samples = sample_neighbors(g, v, s_k, derived_seed(seed, k, v))
-    h_v = _node_repr(model, g, v, k - 1, seed, memo)
-    h_samples = np.stack([_node_repr(model, g, int(u), k - 1, seed, memo) for u in samples])
-
-    if cfg.variant is Variant.GCN:
-        table = {int(u): h_samples[i] for i, u in enumerate(samples)}
-        a_v = aggregate_gcn(g, table, v, samples)
-    elif cfg.variant is Variant.GS_POOL:
-        a_v = aggregate_gspool(h_samples, lw.W_pool, lw.b)
-    elif cfg.variant is Variant.G_GCN:
-        a_v = aggregate_ggcn(h_samples, h_v, lw.W_H, lw.W_C)
-    else:
-        a_v = aggregate_gat(h_samples, h_v, lw)
-
-    out = combine(cfg.variant, a_v, h_v, lw.W)
-    memo[key] = out
-    return out
-
-
-def forward(model: GnnModel, g: Graph, batch, seed: int, threads: int = 1) -> np.ndarray:
+def forward(model: GnnModel, g: Graph, batch, seed: int) -> np.ndarray:
     """Embeddings of the batch nodes after all layers; shape (len(batch), out_dim).
 
-    Deterministic for a fixed seed regardless of batch order or thread
-    count, because sampling seeds depend only on (seed, layer, node).
+    The frontier is expanded from the distinct batch nodes outward, sampling
+    every frontier node of layer k once; then the layers run bottom-up over
+    row batches.  Each output row depends only on its own node, bit for bit,
+    because sampling seeds depend only on (seed, layer, node).
     """
-    batch = [int(v) for v in batch]
     cfg = model.config
     if g.feature_dim != cfg.dims[0][0]:
         raise SchemaError(
             f"graph features have dim {g.feature_dim}, model expects {cfg.dims[0][0]}"
         )
-    for v in batch:
-        if not 0 <= v < g.num_nodes:
-            raise IndexError(f"batch node {v} out of range [0, {g.num_nodes})")
-    k = cfg.num_layers
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    batch = np.asarray(batch, dtype=np.int64).reshape(-1)
+    if batch.size == 0 or batch.min() < 0 or batch.max() >= g.num_nodes:
+        raise SchemaError(f"batch must be nonempty, with nodes in [0, {g.num_nodes})")
 
-        def run(v: int) -> np.ndarray:
-            return _node_repr(model, g, v, k, seed, {})
+    # frontier[k]: sorted nodes whose layer-k output is needed; samples[k]
+    # holds the layer-(k + 1) samples of frontier[k + 1], one row per node
+    frontier, samples = [np.unique(batch)], []
+    for k in range(cfg.num_layers, 0, -1):
+        drawn = np.stack([
+            sample_neighbors(g, int(v), cfg.sample_sizes[k - 1], derived_seed(seed, k, int(v)))
+            for v in frontier[0]
+        ])
+        samples.insert(0, drawn)
+        frontier.insert(0, np.union1d(frontier[0], drawn))
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run, batch))
-    else:
-        memo: dict = {}
-        rows = [_node_repr(model, g, v, k, seed, memo) for v in batch]
-    return np.stack(rows)
+    h = g.features[frontier[0]]
+    for k, lw in enumerate(model.layers):
+        below, centers = frontier[k], frontier[k + 1]
+        u, idx = np.unique(samples[k], return_inverse=True)
+        idx = idx.reshape(samples[k].shape)
+        h_u = h[np.searchsorted(below, u)]
+        h_v = h[np.searchsorted(below, centers)]
+        if cfg.variant is Variant.GCN:
+            a_v = aggregate_gcn(g, h_u, idx, u, centers)
+        elif cfg.variant is Variant.GS_POOL:
+            a_v = aggregate_gspool(h_u, idx, lw.W_pool, lw.b)
+        elif cfg.variant is Variant.G_GCN:
+            a_v = aggregate_ggcn(h_u, idx, h_v, lw.W_H, lw.W_C)
+        else:
+            a_v = aggregate_gat(h_u, idx, h_v, lw)
+        h = combine(cfg.variant, a_v, h_v, lw.W)
+    return h[np.searchsorted(frontier[-1], batch)]

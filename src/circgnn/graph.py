@@ -171,6 +171,8 @@ def _load_feature_csv(path) -> np.ndarray:
             row = np.array(text.split(","), dtype=np.float64)
         except ValueError as exc:
             raise InputParseError(f"{path}:{lineno}: non-numeric feature value") from exc
+        if not np.isfinite(row).all():
+            raise InputParseError(f"{path}:{lineno}: non-finite feature value")
         if width is None:
             width = row.size
         elif row.size != width:

@@ -293,6 +293,15 @@ class TestBcMatvec:
         with pytest.raises(InternalConsistencyError):
             bc_matvec(spec, np.arange(8, dtype=float))
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_trips_consistency_check(self, bad):
+        w = new_random(8, 8, 4, seed=5)
+        h = np.arange(8, dtype=float)
+        h[3] = bad
+        with pytest.raises(InternalConsistencyError):
+            bc_matvec(w.spectral(), h)
+
     def test_spectral_accumulation_equals_per_block_route(self):
         rng = np.random.default_rng(41)
         w = new_random(96, 80, 16, seed=41)
@@ -311,6 +320,30 @@ class TestBcMatvec:
         reset_op_counts()
         bc_matvec_per_block(spec, h)
         assert op_counts().ifft_calls == spec.p * spec.q
+
+    def test_batch_of_rows_counts_and_rows(self):
+        # B rows: B*q forward and B*p inverse transforms in one call, and
+        # each row bit-identical to its own single-vector product
+        w = new_random(96, 80, 16, seed=43)
+        spec = w.spectral()
+        h = np.random.default_rng(43).normal(size=(5, 80))
+        reset_op_counts()
+        got = bc_matvec(spec, h)
+        counts = op_counts()
+        assert (counts.matvec_calls, counts.fft_calls, counts.ifft_calls) == (
+            1, 5 * spec.q, 5 * spec.p
+        )
+        assert got.shape == (5, 96)
+        assert np.max(np.abs(got - h @ to_dense(w).T)) < 1e-9
+        for row, x in zip(got, h):
+            assert np.array_equal(row, bc_matvec(spec, x))
+
+    def test_spectra_stored_once_frequency_major(self):
+        w = new_random(24, 40, 8, seed=44)
+        spec = w.spectral()
+        assert spec.bins.shape == (8, 5, 3)
+        assert np.shares_memory(spec.blocks, spec.bins)
+        assert np.allclose(spec.blocks, fft(w.defining_vectors), atol=1e-12)
 
 
 class TestRfftMatvec:

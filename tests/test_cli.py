@@ -55,13 +55,18 @@ class TestInfer:
         a.pop("wall_time_s"), b.pop("wall_time_s")
         assert a == b
 
-    def test_threads_do_not_change_digest(self, tmp_path):
-        a_path, b_path = tmp_path / "a.json", tmp_path / "b.json"
-        run_cli(*infer_args(a_path), check=True)
-        run_cli(*infer_args(b_path, extra=["--threads", "4"]), check=True)
-        a = json.loads(a_path.read_text())
-        b = json.loads(b_path.read_text())
-        assert a["outputs"]["digest"] == b["outputs"]["digest"]
+    def test_batch_order_does_not_change_digest(self, tmp_path):
+        order = [3, 0, 4, 1, 2]
+        runs = []
+        for name, batch in (("a", "0,1,2,3,4"), ("b", ",".join(map(str, order)))):
+            report_path, csv_path = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+            run_cli(*infer_args(report_path, extra=["--batch", batch, "--out", csv_path]),
+                    check=True)
+            digest = json.loads(report_path.read_text())["outputs"]["digest"]
+            runs.append((digest, np.loadtxt(csv_path, delimiter=",")))
+        (a_digest, a_rows), (b_digest, b_rows) = runs
+        assert np.array_equal(a_rows[order], b_rows)
+        assert a_digest == b_digest
 
     def test_out_csv_has_batch_shape(self, tmp_path):
         report_path = tmp_path / "r.json"
@@ -75,6 +80,12 @@ class TestInfer:
         run_cli(*infer_args(report_path, extra=["--batch", "0,2"]), check=True)
         report = json.loads(report_path.read_text())
         assert report["outputs"]["batch_size"] == 2
+
+    def test_out_of_range_batch_node_exits_3(self, tmp_path):
+        proc = run_cli(*infer_args(tmp_path / "r.json", extra=["--batch", "0,99"]))
+        assert proc.returncode == 3
+        assert "99 out of range" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_missing_graph_exits_2(self, tmp_path):
         proc = run_cli(

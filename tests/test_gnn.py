@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circgnn import (
     GnnModel,
@@ -18,12 +20,12 @@ from circgnn import (
     densify_weights,
     derived_seed,
     forward,
-    gat_attention,
     load_edge_list,
     new_random,
     op_counts,
     random_weights,
     reset_op_counts,
+    sample_neighbors,
     synthetic_graph,
     to_dense,
 )
@@ -63,20 +65,22 @@ class TestAggregateGcn:
     def test_direct_summation_oracle(self, five_node_graph):
         g = five_node_graph
         rng = np.random.default_rng(0)
-        h = rng.normal(size=(5, 4))
-        samples = np.array([1, 2, 2])  # repeats allowed, sampling is with replacement
-        got = aggregate_gcn(g, h, 0, samples)
-        dv = g.degree(0)
-        want = sum(h[u] / np.sqrt(g.degree(u) * dv) for u in [1, 2, 2])
-        assert np.max(np.abs(got - want)) < 1e-12
+        h = rng.normal(size=(5, 4))  # row u is node u
+        v = np.array([0, 4])
+        idx = np.array([[1, 2, 2], [0, 3, 3]])  # repeats allowed, sampling is with replacement
+        got = aggregate_gcn(g, h, idx, np.arange(5), v)
+        for f in range(2):
+            dv = g.degree(v[f])
+            want = sum(h[u] / np.sqrt(g.degree(u) * dv) for u in idx[f])
+            assert np.max(np.abs(got[f] - want)) < 1e-12
 
     def test_zero_degree_counts_as_one(self, tmp_path):
         path = tmp_path / "e.txt"
         path.write_text("0 3\n")  # nodes 1, 2 isolated
         g = load_edge_list(path)
         h = np.eye(4)
-        got = aggregate_gcn(g, h, 1, np.array([1]))
-        assert np.array_equal(got, h[1])  # 1/sqrt(1*1) weight
+        got = aggregate_gcn(g, h[[1]], np.array([[0]]), np.array([1]), np.array([1]))
+        assert np.array_equal(got[0], h[1])  # 1/sqrt(1*1) weight
 
 
 class TestAggregateGspool:
@@ -85,16 +89,16 @@ class TestAggregateGspool:
         w_pool = rng.normal(size=(4, 4))
         b = rng.normal(size=4)
         h = rng.normal(size=(1, 4))
-        got = aggregate_gspool(h, w_pool, b)
-        assert np.allclose(got, np.maximum(w_pool @ h[0] + b, 0.0))
+        got = aggregate_gspool(h, np.array([[0]]), w_pool, b)
+        assert np.allclose(got[0], np.maximum(w_pool @ h[0] + b, 0.0))
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(2)
         w_pool = rng.normal(size=(6, 6))
         b = rng.normal(size=6)
         h = rng.normal(size=(5, 6))
-        base = aggregate_gspool(h, w_pool, b)
-        shuffled = aggregate_gspool(h[[4, 2, 0, 3, 1]], w_pool, b)
+        base = aggregate_gspool(h, np.array([[0, 1, 2, 3, 4]]), w_pool, b)
+        shuffled = aggregate_gspool(h, np.array([[4, 2, 0, 3, 1]]), w_pool, b)
         assert np.array_equal(base, shuffled)
 
     def test_max_dominates(self):
@@ -102,7 +106,8 @@ class TestAggregateGspool:
         w_pool = np.eye(3)
         b = np.zeros(3)
         h = np.array([[5.0, -1.0, 0.0], [1.0, 2.0, -4.0]])
-        assert np.array_equal(aggregate_gspool(h, w_pool, b), [5.0, 2.0, 0.0])
+        got = aggregate_gspool(h, np.array([[0, 1]]), w_pool, b)
+        assert np.array_equal(got, [[5.0, 2.0, 0.0]])
 
 
 class TestAggregateGgcn:
@@ -110,23 +115,25 @@ class TestAggregateGgcn:
         rng = np.random.default_rng(3)
         w_h = rng.normal(size=(4, 4))
         w_c = rng.normal(size=(4, 4))
-        h_v = rng.normal(size=4)
+        h_v = rng.normal(size=(2, 4))
         h = rng.normal(size=(3, 4))
-        got = aggregate_ggcn(h, h_v, w_h, w_c)
-        want = np.zeros(4)
-        for row in h:
-            gate = 1.0 / (1.0 + np.exp(-(w_h @ row + w_c @ h_v)))
-            want += gate * row
-        assert np.max(np.abs(got - want)) < 1e-12
+        idx = np.array([[0, 1, 2], [2, 2, 0]])
+        got = aggregate_ggcn(h, idx, h_v, w_h, w_c)
+        for f in range(2):
+            want = np.zeros(4)
+            for row in h[idx[f]]:
+                gate = 1.0 / (1.0 + np.exp(-(w_h @ row + w_c @ h_v[f])))
+                want += gate * row
+            assert np.max(np.abs(got[f] - want)) < 1e-12
 
     def test_center_term_shared_across_samples(self):
         # sum over duplicated rows must be exactly twice the single-row sum
         rng = np.random.default_rng(4)
         w_h, w_c = rng.normal(size=(4, 4)), rng.normal(size=(4, 4))
-        h_v = rng.normal(size=4)
+        h_v = rng.normal(size=(1, 4))
         row = rng.normal(size=(1, 4))
-        single = aggregate_ggcn(row, h_v, w_h, w_c)
-        double = aggregate_ggcn(np.vstack([row, row]), h_v, w_h, w_c)
+        single = aggregate_ggcn(row, np.array([[0]]), h_v, w_h, w_c)
+        double = aggregate_ggcn(row, np.array([[0, 0]]), h_v, w_h, w_c)
         assert np.max(np.abs(double - 2 * single)) < 1e-12
 
 
@@ -142,12 +149,12 @@ class TestAggregateGat:
         rng = np.random.default_rng(5)
         heads, hd, din, s = 2, 3, 4, 5
         lw = self._weights(rng, heads, hd, din)
-        h_v = rng.normal(size=din)
+        h_v = rng.normal(size=(1, din))
         h = rng.normal(size=(s, din))
-        got = aggregate_gat(h, h_v, lw)
+        got = aggregate_gat(h, np.arange(s)[None, :], h_v, lw)
         parts = []
         for w_att, a_att in zip(lw.W_att, lw.a_att):
-            pv = w_att @ h_v
+            pv = w_att @ h_v[0]
             raw = np.array(
                 [a_att[:hd] @ pv + a_att[hd:] @ (w_att @ h[j]) for j in range(s)]
             )
@@ -157,22 +164,22 @@ class TestAggregateGat:
             # attention mixes the raw neighbor features, not the projections
             parts.append(sum(alpha[j] * h[j] for j in range(s)))
         want = np.concatenate(parts)
-        assert got.shape == (heads * din,)
-        assert np.max(np.abs(got - want)) < 1e-9
+        assert got.shape == (1, heads * din)
+        assert np.max(np.abs(got[0] - want)) < 1e-9
 
     def test_attention_sums_to_one(self):
+        # unit-vector features make the single head's output its attention weights
         rng = np.random.default_rng(6)
-        lw = self._weights(rng, 1, 4, 6)
-        alpha = gat_attention(rng.normal(size=(7, 6)), rng.normal(size=6), lw.W_att[0], lw.a_att[0])
+        lw = self._weights(rng, 1, 4, 7)
+        alpha = aggregate_gat(np.eye(7), np.arange(7)[None, :], rng.normal(size=(1, 7)), lw)[0]
         assert alpha.shape == (7,)
         assert np.all(alpha > 0)
         assert abs(alpha.sum() - 1.0) < 1e-12
 
     def test_uniform_scores_give_uniform_weights(self):
         # zero scoring vector makes every score zero, so attention is 1/s
-        w_att = np.eye(3)
-        a_att = np.zeros(6)
-        alpha = gat_attention(np.ones((4, 3)), np.ones(3), w_att, a_att)
+        lw = LayerWeights(W=None, W_att=[np.eye(4)], a_att=[np.zeros(8)])
+        alpha = aggregate_gat(np.eye(4), np.arange(4)[None, :], np.ones((1, 4)), lw)[0]
         assert np.allclose(alpha, 0.25)
 
 
@@ -279,13 +286,35 @@ class TestForward:
         solo = forward(model, g, [7], seed=5)
         assert np.array_equal(whole[1], solo[0])
 
-    def test_threads_bit_identical(self):
+    def test_batch_split_bit_identical(self):
         g, cfg = _graph_and_config("gspool")
         model = GnnModel(cfg, random_weights(cfg, seed=4))
         batch = list(range(12))
-        serial = forward(model, g, batch, seed=6, threads=1)
-        parallel = forward(model, g, batch, seed=6, threads=4)
-        assert np.array_equal(serial, parallel)
+        whole = forward(model, g, batch, seed=6)
+        halves = np.vstack(
+            [forward(model, g, batch[:6], seed=6), forward(model, g, batch[6:], seed=6)]
+        )
+        assert np.array_equal(whole, halves)
+        assert np.array_equal(forward(model, g, batch[::-1], seed=6), whole[::-1])
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["compressed", "dense"])
+    @pytest.mark.parametrize("variant", ["gcn", "gspool", "ggcn", "gat"])
+    @given(batch=st.lists(st.integers(0, 19), min_size=1, max_size=12))
+    @settings(max_examples=15)
+    def test_rows_do_not_depend_on_the_rest_of_the_batch(self, variant, dense, batch):
+        # nine samples: past the eight terms where numpy's summation turns pairwise
+        g, cfg = _graph_and_config(variant, samples=(9, 2))
+        layers = random_weights(cfg, seed=29)
+        if dense:
+            cfg = GnnModelConfig(
+                cfg.variant, cfg.dims, cfg.sample_sizes, 1, cfg.gat_heads, cfg.gat_head_dim
+            )
+            layers = densify_weights(layers)
+        model = GnnModel(cfg, layers)
+        batch = batch + batch[:1]  # at least one duplicate
+        whole = forward(model, g, batch, seed=13)
+        for v, row in zip(batch, whole):
+            assert np.array_equal(row, forward(model, g, [v], seed=13)[0])
 
     def test_seed_changes_output(self):
         g, cfg = _graph_and_config("gcn")
@@ -302,11 +331,25 @@ class TestForward:
             forward(model, g, [0], seed=0)
 
     def test_matvec_count_tracks_sample_size(self):
-        # one gspool layer: S pooling matvecs plus one combination per node
+        # one gspool layer on node 0: one W_pool matvec over the distinct
+        # sampled nodes, one W matvec over node 0
         g = synthetic_graph(10, avg_degree=4.0, feature_dim=8, seed=9)
-        for s in (3, 5):
+        for s in (3, 5, 12):
             cfg = GnnModelConfig("gspool", dims=((8, 8),), sample_sizes=(s,), block_size=4)
             model = GnnModel(cfg, random_weights(cfg, seed=1))
+            pool, comb = model.layers[0].W_pool.spectral(), model.layers[0].W.spectral()
+            distinct = np.unique(sample_neighbors(g, 0, s, derived_seed(2, 1, 0))).size
             reset_op_counts()
             forward(model, g, [0], seed=2)
-            assert op_counts().matvec_calls == s + 1
+            counts = op_counts()
+            assert counts.matvec_calls == 2
+            assert counts.fft_calls == pool.q * distinct + comb.q * 1
+            assert counts.ifft_calls == pool.p * distinct + comb.p * 1
+        assert distinct < s  # at s = 12 samples repeat, and repeats cost nothing
+
+    def test_out_of_range_batch_node_rejected(self):
+        g, cfg = _graph_and_config("gcn")
+        model = GnnModel(cfg, random_weights(cfg, seed=0))
+        for batch in ([0, 20], [-1], []):
+            with pytest.raises(SchemaError):
+                forward(model, g, batch, seed=0)

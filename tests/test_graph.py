@@ -80,6 +80,14 @@ class TestLoader:
         with pytest.raises(InputParseError, match=r"(?:edges\.txt|feats\.csv):2"):
             load_edge_list(edges, feature_path=feats)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_rejected(self, tmp_path, value):
+        edges = write_edges(tmp_path, "0 1\n1 0\n")
+        feats = tmp_path / "feats.csv"
+        feats.write_text(f"1.0,2.0\n3.0,{value}\n")
+        with pytest.raises(InputParseError, match=r"feats\.csv:2"):
+            load_edge_list(edges, feature_path=feats)
+
     def test_features_loaded(self, tmp_path):
         edges = write_edges(tmp_path, "0 1\n1 0\n")
         feats = tmp_path / "feats.csv"
