@@ -12,24 +12,18 @@ The package has three legs:
 
 from .circulant import (
     BlockCirculantMatrix,
-    CompressionStats,
-    SpectralWeights,
     bc_matvec,
     bc_matvec_per_block,
     compression_stats,
     fft,
-    irfft,
     new_random,
     op_counts,
     precompute_spectral,
     project_to_block_circulant,
     reset_op_counts,
-    rfft,
-    rfft_matvec,
     to_dense,
 )
 from .errors import (
-    CircGnnError,
     InfeasibleError,
     InputParseError,
     InternalConsistencyError,
@@ -49,14 +43,12 @@ from .gnn import (
     densify_weights,
     derived_seed,
     forward,
-    matvec,
     random_weights,
 )
 from .graph import (
     DATASET_STATS,
     Graph,
     GraphStats,
-    degrees,
     load_edge_list,
     sample_neighbors,
     synthetic_graph,
@@ -71,10 +63,7 @@ from .modelio import (
 )
 from .perfmodel import (
     CostCoefficients,
-    CycleEstimate,
     HardwareConfig,
-    LayerCycles,
-    SearchResult,
     Stage,
     WorkloadLayer,
     WorkloadSpec,
@@ -85,16 +74,12 @@ from .perfmodel import (
     default_coefficients,
     dsp_usage,
     layer_cycles,
-    model_workload,
     search_optimal,
     total_cycles,
 )
 from .profiler import (
     Phase,
-    PhaseProfile,
-    arithmetic_intensity,
     compressed_flops,
-    count_flops,
     profile_grid,
     profile_phase,
 )

@@ -17,8 +17,9 @@ drops by a factor of n; multiplies drop by roughly n / log2(n).
 
 The matvec over the full block matrix accumulates the per-block spectral
 products first and runs a single inverse transform per block row (p inverse
-transforms total instead of p * q).  ``bc_matvec_per_block`` keeps the
-unoptimized route alive as a cross-check.
+transforms total instead of p * q).  ``bc_matvec`` is the one production
+multiply; ``bc_matvec_per_block`` keeps the unoptimized route alive only as
+the independent oracle of the tests.
 
 Spectra are stored once, frequency-major (``SpectralWeights.bins``, with
 ``blocks`` a view of it).  ``bc_matvec`` multiplies one vector or a batch of
@@ -50,8 +51,6 @@ class OpCounts:
 
     fft_calls: int = 0
     ifft_calls: int = 0
-    rfft_calls: int = 0
-    irfft_calls: int = 0
     multiplies: int = 0  # complex multiplies in butterflies and spectral products
     matvec_calls: int = 0
 
@@ -136,52 +135,6 @@ def fft(x, inverse: bool = False) -> np.ndarray:
     if inverse:
         a = a / n
     return a.reshape(out_shape)
-
-
-def rfft(x) -> np.ndarray:
-    """Forward transform of real input, returning the n/2 + 1 non-redundant bins.
-
-    Implemented by packing even/odd samples into one half-length complex
-    transform plus an O(n) untangling pass, so it does roughly half the work
-    of the full complex transform.
-    """
-    a = np.asarray(x, dtype=np.float64)
-    n = a.shape[-1]
-    if not is_power_of_two(n) or n < 2:
-        raise SchemaError(f"rfft length must be a power of two >= 2, got {n}")
-    batch = int(np.prod(a.shape[:-1], dtype=np.int64)) if a.ndim > 1 else 1
-    _counts.rfft_calls += batch
-    m = n // 2
-    z = fft(a[..., 0::2] + 1j * a[..., 1::2])
-    zr = np.conj(z[..., (-np.arange(m)) % m])
-    even = 0.5 * (z + zr)
-    odd = -0.5j * (z - zr)
-    head = even + _twiddles(n, False) * odd
-    _counts.multiplies += batch * m
-    tail = (even[..., :1] - odd[..., :1])
-    return np.concatenate([head, tail], axis=-1)
-
-
-def irfft(spectrum, n: int) -> np.ndarray:
-    """Inverse of :func:`rfft`: half-spectrum with n/2 + 1 bins back to n reals."""
-    s = np.asarray(spectrum, dtype=np.complex128)
-    if not is_power_of_two(n) or n < 2:
-        raise SchemaError(f"irfft length must be a power of two >= 2, got {n}")
-    m = n // 2
-    if s.shape[-1] != m + 1:
-        raise SchemaError(f"expected {m + 1} spectrum bins for length {n}, got {s.shape[-1]}")
-    batch = int(np.prod(s.shape[:-1], dtype=np.int64)) if s.ndim > 1 else 1
-    _counts.irfft_calls += batch
-    head = s[..., :m]
-    mirror = np.conj(s[..., m - np.arange(m)])
-    even = 0.5 * (head + mirror)
-    odd = 0.5 * (head - mirror) * _twiddles(n, True)
-    _counts.multiplies += batch * m
-    z = fft(even + 1j * odd, inverse=True)
-    out = np.empty(s.shape[:-1] + (n,), dtype=np.float64)
-    out[..., 0::2] = z.real
-    out[..., 1::2] = z.imag
-    return out
 
 
 def _block_counts(rows: int, cols: int, block_size: int) -> tuple[int, int]:
@@ -329,23 +282,6 @@ def bc_matvec_per_block(weights: SpectralWeights, h) -> np.ndarray:
     _counts.multiplies += p * q * n
     per_block = fft(products, inverse=True)  # p*q inverse transforms
     out = _real_or_raise(per_block, "bc_matvec_per_block").sum(axis=1)
-    return out.reshape(p * n)[: weights.rows]
-
-
-def rfft_matvec(weights: SpectralWeights, h) -> np.ndarray:
-    """Spectral matvec on the real-input fast path.
-
-    Real inputs have conjugate-symmetric spectra, so only the first n/2 + 1
-    bins of each block spectrum participate.  Numerically identical to
-    :func:`bc_matvec`; does noticeably fewer multiplies.
-    """
-    _counts.matvec_calls += 1
-    n, p, q = weights.block_size, weights.p, weights.q
-    half = n // 2 + 1
-    spectrum = rfft(_pad_input(weights, h))  # q half transforms
-    acc = np.einsum("pqn,qn->pn", weights.blocks[:, :, :half], spectrum)
-    _counts.multiplies += p * q * half
-    out = irfft(acc, n)  # p half inverse transforms
     return out.reshape(p * n)[: weights.rows]
 
 

@@ -25,7 +25,7 @@ from .circulant import (
     to_dense,
 )
 from .errors import CircGnnError, InputParseError, SchemaError
-from .gnn import GnnModel, Variant, forward
+from .gnn import VECTOR_SLOTS, GnnModel, LayerWeights, Variant, forward, map_slots
 from .graph import DATASET_STATS, GraphStats, load_edge_list
 from .perfmodel import (
     CostCoefficients,
@@ -103,42 +103,30 @@ def _cmd_infer(args) -> RunReport:
     )
 
 
-_COMPRESSIBLE = ("W", "W_pool", "W_H", "W_C")
-
-
 def _cmd_compress(args) -> RunReport:
-    doc = modelio._read_json(args.weights)
-    if not isinstance(doc, dict) or "layers" not in doc:
-        raise SchemaError(f"{args.weights}: weight file must be an object with a 'layers' list")
     n = args.block_size
     if n < 1 or (n > 1 and n & (n - 1)):
         raise SchemaError("--block-size must be 1 or a power of two")
+    layers = modelio.load_weights(args.weights)
 
-    out_layers = []
     per_matrix = []
-    for k, entry in enumerate(doc["layers"]):
-        new_entry = dict(entry)
-        for name in _COMPRESSIBLE:
-            if name not in entry:
-                continue
-            ctx = f"{args.weights}: layer {k}: {name}"
-            w = modelio.parse_weight_entry(entry[name], ctx)
+    for k, lw in enumerate(layers):
+
+        def project(slot, label, w):
+            if slot in VECTOR_SLOTS:
+                return w
             if isinstance(w, BlockCirculantMatrix):
-                raise SchemaError(f"{ctx}: input must be dense (block_size 1)")
+                raise SchemaError(
+                    f"{args.weights}: layer {k}: {label}: input must be dense (block_size 1)"
+                )
+            projected = w if n == 1 else project_to_block_circulant(w, n)
+            error = 0.0 if n == 1 else float(np.linalg.norm(to_dense(projected) - w))
             dense_norm = float(np.linalg.norm(w))
-            if n == 1:
-                error = 0.0
-                stats = compression_stats(w.shape[0], w.shape[1], 1)
-                new_entry[name] = entry[name]
-            else:
-                projected = project_to_block_circulant(w, n)
-                error = float(np.linalg.norm(to_dense(projected) - w))
-                stats = compression_stats(w.shape[0], w.shape[1], n)
-                new_entry[name] = modelio.weight_entry(projected)
+            stats = compression_stats(w.shape[0], w.shape[1], n)
             per_matrix.append(
                 {
                     "layer": k,
-                    "name": name,
+                    "name": label,
                     "rows": int(w.shape[0]),
                     "cols": int(w.shape[1]),
                     "frobenius_error": error,
@@ -148,11 +136,12 @@ def _cmd_compress(args) -> RunReport:
                     "stored_reals": stats.stored_reals,
                 }
             )
-        out_layers.append(new_entry)
+            return projected
+
+        layers[k] = LayerWeights(**map_slots(vars(lw), project))
 
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump({"layers": out_layers}, fh)
+        modelio.save_weights(layers, args.out)
     return RunReport(
         command="compress",
         seed=args.seed,

@@ -17,6 +17,11 @@ evaluates a batch layer by layer (GraphSAGE minibatch scheme), so each
 weight multiplies each distinct node that needs it once per layer, and
 every output row is bit-identical whatever else is in the batch.
 
+Which weights a layer holds is decided in one place, ``weight_shapes``;
+validation, random initialisation, densification, serialization and the
+CLI's compression all walk a layer's weights through it and ``map_slots``.
+Any weight matrix, the attention projections included, may be dense or
+block-circulant; bias and attention scoring vectors are always dense.
 Weight multiplies dispatch on type: a numpy array multiplies densely, a
 BlockCirculantMatrix goes through the spectral path.
 """
@@ -24,7 +29,7 @@ BlockCirculantMatrix goes through the spectral path.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -75,12 +80,6 @@ def matvec(weight, x) -> np.ndarray:
     return np.matmul(x[..., None, :], weight.T)[..., 0, :]
 
 
-def _weight_shape(weight) -> tuple[int, int]:
-    if isinstance(weight, BlockCirculantMatrix):
-        return weight.shape
-    return np.asarray(weight).shape
-
-
 @dataclass(frozen=True)
 class GnnModelConfig:
     """Model hyperparameters; dims[k] is the (input, output) pair of layer k."""
@@ -98,6 +97,10 @@ class GnnModelConfig:
         object.__setattr__(self, "sample_sizes", tuple(self.sample_sizes))
         if not self.dims:
             raise SchemaError("model needs at least one layer")
+        counts = [*sum(self.dims, ()), *self.sample_sizes, self.block_size, self.gat_heads,
+                  self.gat_head_dim]
+        if not all(isinstance(c, (int, np.integer)) and not isinstance(c, bool) for c in counts):
+            raise SchemaError("dims, sample sizes, block_size and gat fields must be integers")
         if len(self.sample_sizes) != len(self.dims):
             raise SchemaError("need one sample size per layer")
         for k, (din, dout) in enumerate(self.dims):
@@ -141,43 +144,71 @@ class LayerWeights:
     a_att: list[np.ndarray] | None = None
 
 
-def _expect_shape(name: str, weight, shape: tuple[int, int], layer: int) -> None:
-    if weight is None:
-        raise SchemaError(f"layer {layer}: missing weight {name}")
-    got = _weight_shape(weight)
-    if tuple(got) != shape:
-        raise SchemaError(f"layer {layer}: weight {name} has shape {got}, expected {shape}")
+# Slots that hold one entry per attention head, and slots that hold vectors.
+PER_HEAD_SLOTS = frozenset({"W_att", "a_att"})
+VECTOR_SLOTS = frozenset({"b", "a_att"})
 
 
-def validate_layer_weights(config: GnnModelConfig, layer: int, lw: LayerWeights) -> None:
-    """Check that one layer's weights match the shapes the variant implies."""
+def weight_shapes(config: GnnModelConfig, layer: int) -> dict[str, tuple[int, ...]]:
+    """The slots a layer of the configured variant fills, in draw order, with their shapes.
+
+    A per-head slot maps to the shape of one head.  This table is the one
+    place that says which weights a variant holds.
+    """
     din, dout = config.dims[layer]
     v = config.variant
     if v is Variant.GCN:
-        _expect_shape("W", lw.W, (dout, din), layer)
-    elif v is Variant.GS_POOL:
-        _expect_shape("W_pool", lw.W_pool, (din, din), layer)
-        if lw.b is None or np.asarray(lw.b).shape != (din,):
-            raise SchemaError(f"layer {layer}: pooling bias b must have shape ({din},)")
-        _expect_shape("W", lw.W, (dout, 2 * din), layer)
-    elif v is Variant.G_GCN:
-        _expect_shape("W_H", lw.W_H, (din, din), layer)
-        _expect_shape("W_C", lw.W_C, (din, din), layer)
-        _expect_shape("W", lw.W, (dout, din), layer)
-    elif v is Variant.GAT:
-        if not lw.W_att or not lw.a_att or len(lw.W_att) != config.gat_heads or len(
-            lw.a_att
-        ) != config.gat_heads:
-            raise SchemaError(f"layer {layer}: gat needs {config.gat_heads} heads of W_att/a_att")
-        for i, (wa, aa) in enumerate(zip(lw.W_att, lw.a_att)):
-            _expect_shape(f"W_att[{i}]", wa, (config.gat_head_dim, din), layer)
-            if np.asarray(aa).shape != (2 * config.gat_head_dim,):
-                raise SchemaError(
-                    f"layer {layer}: a_att[{i}] must have shape ({2 * config.gat_head_dim},)"
-                )
-        _expect_shape("W", lw.W, (dout, config.gat_heads * din), layer)
-    else:  # pragma: no cover
-        raise SchemaError(f"unknown variant {v}")
+        return {"W": (dout, din)}
+    if v is Variant.GS_POOL:
+        return {"W": (dout, 2 * din), "W_pool": (din, din), "b": (din,)}
+    if v is Variant.G_GCN:
+        return {"W": (dout, din), "W_H": (din, din), "W_C": (din, din)}
+    hd = config.gat_head_dim
+    return {"W": (dout, config.gat_heads * din), "W_att": (hd, din), "a_att": (2 * hd,)}
+
+
+def map_slots(slots, fn) -> dict:
+    """fn(slot, label, weight) for every filled slot of a mapping, head by head.
+
+    ``slots`` is a LayerWeights' ``vars`` or a weight file's layer object;
+    slots outside LayerWeights are ignored.  The label names the weight as
+    reports print it: the slot, or ``W_att[i]`` for head i.
+    """
+    out = {}
+    for f in fields(LayerWeights):
+        value = slots.get(f.name)
+        if value is None:
+            continue
+        if f.name not in PER_HEAD_SLOTS:
+            out[f.name] = fn(f.name, f.name, value)
+        elif isinstance(value, list):
+            out[f.name] = [fn(f.name, f"{f.name}[{i}]", w) for i, w in enumerate(value)]
+        else:
+            raise SchemaError(f"{f.name} must be a list with one entry per head")
+    return out
+
+
+def validate_layer_weights(config: GnnModelConfig, layer: int, lw: LayerWeights) -> None:
+    """Check that one layer holds exactly the slots and shapes the variant implies."""
+    shapes = weight_shapes(config, layer)
+    filled = {f.name for f in fields(LayerWeights) if getattr(lw, f.name) is not None}
+    if filled != set(shapes):
+        raise SchemaError(
+            f"layer {layer}: {config.variant.value} needs weights {sorted(shapes)}, "
+            f"got {sorted(filled)}"
+        )
+    for slot in PER_HEAD_SLOTS & filled:
+        if len(getattr(lw, slot)) != config.gat_heads:
+            raise SchemaError(f"layer {layer}: gat needs {config.gat_heads} heads of {slot}")
+
+    def check(slot, label, w):
+        got = w.shape if isinstance(w, BlockCirculantMatrix) else np.shape(w)
+        if tuple(got) != shapes[slot]:
+            raise SchemaError(
+                f"layer {layer}: weight {label} has shape {tuple(got)}, expected {shapes[slot]}"
+            )
+
+    map_slots(vars(lw), check)
 
 
 @dataclass
@@ -195,82 +226,37 @@ class GnnModel:
             validate_layer_weights(self.config, k, lw)
 
 
-def _make_weight(rows: int, cols: int, block_size: int, rng, dense: bool):
-    bound = 1.0 / np.sqrt(cols)
-    if block_size == 1 or dense:
-        return rng.uniform(-bound, bound, size=(rows, cols))
-    seed = int(rng.integers(0, 2**63 - 1))
-    return new_random(rows, cols, block_size, seed)
+def _random_weight(shape: tuple[int, ...], block_size: int, rng):
+    bound = 1.0 / np.sqrt(shape[-1])
+    if len(shape) == 1 or block_size == 1:
+        return rng.uniform(-bound, bound, size=shape)
+    return new_random(*shape, block_size, int(rng.integers(0, 2**63 - 1)))
 
 
-def random_weights(
-    config: GnnModelConfig, seed: int, dense_names: frozenset[str] | set[str] = frozenset()
-) -> list[LayerWeights]:
-    """Random weights for a config; names in dense_names stay uncompressed.
+def random_weights(config: GnnModelConfig, seed: int) -> list[LayerWeights]:
+    """Random weights for a config, uniform in +-1/sqrt(cols) (vectors: +-1/sqrt(len)).
 
-    The per-name dense override covers the variant where only aggregator
-    weights are compressed and the combiner stays dense (or vice versa).
+    Matrices are block-circulant unless block_size is 1; vectors are always dense.
     """
     rng = np.random.default_rng(seed)
-    n = config.block_size
     layers = []
-    for din, dout in config.dims:
-        v = config.variant
-        lw = None
-        if v is Variant.GCN:
-            lw = LayerWeights(W=_make_weight(dout, din, n, rng, "W" in dense_names))
-        elif v is Variant.GS_POOL:
-            lw = LayerWeights(
-                W=_make_weight(dout, 2 * din, n, rng, "W" in dense_names),
-                W_pool=_make_weight(din, din, n, rng, "W_pool" in dense_names),
-                b=rng.uniform(-1.0 / np.sqrt(din), 1.0 / np.sqrt(din), size=din),
-            )
-        elif v is Variant.G_GCN:
-            lw = LayerWeights(
-                W=_make_weight(dout, din, n, rng, "W" in dense_names),
-                W_H=_make_weight(din, din, n, rng, "W_H" in dense_names),
-                W_C=_make_weight(din, din, n, rng, "W_C" in dense_names),
-            )
-        elif v is Variant.GAT:
-            hd = config.gat_head_dim
-            lw = LayerWeights(
-                W=_make_weight(dout, config.gat_heads * din, n, rng, "W" in dense_names),
-                W_att=[
-                    _make_weight(hd, din, n, rng, "W_att" in dense_names)
-                    for _ in range(config.gat_heads)
-                ],
-                # attention scoring vectors are always dense
-                a_att=[
-                    rng.uniform(-1.0 / np.sqrt(2 * hd), 1.0 / np.sqrt(2 * hd), size=2 * hd)
-                    for _ in range(config.gat_heads)
-                ],
-            )
-        layers.append(lw)
+    for k in range(config.num_layers):
+        slots = {}
+        for slot, shape in weight_shapes(config, k).items():
+            count = config.gat_heads if slot in PER_HEAD_SLOTS else 1
+            drawn = [_random_weight(shape, config.block_size, rng) for _ in range(count)]
+            slots[slot] = drawn if slot in PER_HEAD_SLOTS else drawn[0]
+        layers.append(LayerWeights(**slots))
     return layers
-
-
-def _densify_one(weight):
-    if isinstance(weight, BlockCirculantMatrix):
-        return to_dense(weight)
-    return weight
 
 
 def densify_weights(layers: list[LayerWeights]) -> list[LayerWeights]:
     """Expand every compressed weight to its exactly-equivalent dense form."""
-    out = []
-    for lw in layers:
-        out.append(
-            LayerWeights(
-                W=_densify_one(lw.W),
-                W_pool=_densify_one(lw.W_pool),
-                b=lw.b,
-                W_H=_densify_one(lw.W_H),
-                W_C=_densify_one(lw.W_C),
-                W_att=None if lw.W_att is None else [_densify_one(w) for w in lw.W_att],
-                a_att=lw.a_att,
-            )
-        )
-    return out
+
+    def dense(slot, label, w):
+        return to_dense(w) if isinstance(w, BlockCirculantMatrix) else w
+
+    return [LayerWeights(**map_slots(vars(lw), dense)) for lw in layers]
 
 
 # --- aggregation -----------------------------------------------------------

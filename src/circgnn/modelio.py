@@ -4,7 +4,10 @@ A weight entry is a single object {rows, cols, block_size, defining_vectors}
 with the vectors flattened row-major over (block_row, block_col, offset).
 block_size == 1 is the dense sentinel: every block is 1x1, so the payload is
 simply the dense matrix row-major.  Plain vectors (biases, attention scoring
-vectors) use the same shape with cols == 1 and block_size == 1.
+vectors) use the same shape with cols == 1 and block_size == 1.  Sizes must
+be JSON integers and values finite numbers; anything else is an
+InputParseError.  A weight file's layer objects hold the slots of
+``LayerWeights``, the per-head slots as lists.
 """
 
 from __future__ import annotations
@@ -15,9 +18,7 @@ import numpy as np
 
 from .circulant import BlockCirculantMatrix, _block_counts
 from .errors import InputParseError, SchemaError
-from .gnn import GnnModelConfig, LayerWeights, Variant
-
-_MATRIX_KEYS = ("W", "W_pool", "W_H", "W_C")
+from .gnn import VECTOR_SLOTS, GnnModelConfig, LayerWeights, Variant, map_slots
 
 
 def _read_json(path) -> dict:
@@ -50,7 +51,7 @@ def load_model_config(path) -> GnnModelConfig:
             gat_heads=doc.get("gat_heads", 1),
             gat_head_dim=doc.get("gat_head_dim", 0),
         )
-    except ValueError as exc:  # unknown Variant value
+    except (TypeError, ValueError) as exc:  # unknown Variant value, wrongly typed field
         raise SchemaError(f"{ctx}: {exc}") from exc
 
 
@@ -95,14 +96,24 @@ def weight_entry(weight) -> dict:
     }
 
 
+def _integer(doc: dict, key: str, context: str) -> int:
+    value = _require(doc, key, context)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputParseError(f"{context}: {key} must be an integer, got {value!r}")
+    return value
+
+
 def parse_weight_entry(doc: dict, context: str, as_vector: bool = False):
     """Inverse of :func:`weight_entry`; block_size 1 loads as a dense array."""
     if not isinstance(doc, dict):
         raise SchemaError(f"{context}: weight entry must be an object")
-    rows = int(_require(doc, "rows", context))
-    cols = int(_require(doc, "cols", context))
-    n = int(_require(doc, "block_size", context))
-    flat = np.asarray(_require(doc, "defining_vectors", context), dtype=np.float64)
+    rows, cols, n = (_integer(doc, key, context) for key in ("rows", "cols", "block_size"))
+    try:
+        flat = np.asarray(_require(doc, "defining_vectors", context), dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InputParseError(f"{context}: defining_vectors must be a list of numbers") from exc
+    if not np.isfinite(flat).all():
+        raise InputParseError(f"{context}: non-finite weight value")
     if rows < 1 or cols < 1 or n < 1:
         raise SchemaError(f"{context}: rows, cols and block_size must be positive")
     if n == 1:
@@ -128,48 +139,23 @@ def parse_weight_entry(doc: dict, context: str, as_vector: bool = False):
 
 
 def save_weights(layers: list[LayerWeights], path) -> None:
-    out = []
-    for lw in layers:
-        entry: dict = {}
-        for key in _MATRIX_KEYS:
-            w = getattr(lw, key)
-            if w is not None:
-                entry[key] = weight_entry(w)
-        if lw.b is not None:
-            entry["b"] = weight_entry(lw.b)
-        if lw.W_att is not None:
-            entry["W_att"] = [weight_entry(w) for w in lw.W_att]
-        if lw.a_att is not None:
-            entry["a_att"] = [weight_entry(a) for a in lw.a_att]
-        out.append(entry)
+    out = [map_slots(vars(lw), lambda slot, label, w: weight_entry(w)) for lw in layers]
     with open(path, "w") as fh:
         json.dump({"layers": out}, fh)
 
 
 def load_weights(path) -> list[LayerWeights]:
     doc = _read_json(path)
-    if not isinstance(doc, dict) or "layers" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("layers"), list):
         raise SchemaError(f"{path}: weight file must be an object with a 'layers' list")
     layers = []
     for k, entry in enumerate(doc["layers"]):
         ctx = f"{path}: layer {k}"
         if not isinstance(entry, dict) or "W" not in entry:
             raise SchemaError(f"{ctx}: missing combination weight W")
-        kw: dict = {"W": parse_weight_entry(entry["W"], f"{ctx}: W")}
-        for key in ("W_pool", "W_H", "W_C"):
-            if key in entry:
-                kw[key] = parse_weight_entry(entry[key], f"{ctx}: {key}")
-        if "b" in entry:
-            kw["b"] = parse_weight_entry(entry["b"], f"{ctx}: b", as_vector=True)
-        if "W_att" in entry:
-            kw["W_att"] = [
-                parse_weight_entry(w, f"{ctx}: W_att[{i}]")
-                for i, w in enumerate(entry["W_att"])
-            ]
-        if "a_att" in entry:
-            kw["a_att"] = [
-                parse_weight_entry(a, f"{ctx}: a_att[{i}]", as_vector=True)
-                for i, a in enumerate(entry["a_att"])
-            ]
-        layers.append(LayerWeights(**kw))
+
+        def parse(slot, label, value):
+            return parse_weight_entry(value, f"{ctx}: {label}", as_vector=slot in VECTOR_SLOTS)
+
+        layers.append(LayerWeights(**map_slots(entry, parse)))
     return layers

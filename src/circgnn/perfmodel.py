@@ -30,9 +30,9 @@ lexicographically smallest parameter tuple).
 Cost coefficients are calibrated per block size; built-in defaults exist
 only for n = 128 and other sizes must supply their own numbers.
 
-By default a workload models aggregation matvecs only.  Combination
-multiplies can be folded in by listing them as extra layers with S = 1,
-which ``model_workload`` automates behind a flag.
+A workload models aggregation matvecs only.  Combination multiplies can
+be folded in by listing them as extra layers with S = 1, since they run
+once per node.
 """
 
 from __future__ import annotations
@@ -155,30 +155,6 @@ class WorkloadSpec:
             raise SchemaError("workload needs at least one layer")
         if self.block_size < 2 or self.block_size & (self.block_size - 1):
             raise SchemaError("workload block_size must be a power of two >= 2")
-
-
-def model_workload(
-    num_nodes: int,
-    sample_sizes,
-    aggregation_dims,
-    block_size: int,
-    combination_dims=None,
-    include_combination: bool = False,
-) -> WorkloadSpec:
-    """Workload for a layered model; optionally folds combination matvecs in.
-
-    aggregation_dims and combination_dims are per-layer (in_dim, out_dim)
-    pairs.  Combination matvecs run once per node, so they enter as extra
-    layers with S = 1 when include_combination is set.
-    """
-    layers = [
-        WorkloadLayer(s, din, dout) for s, (din, dout) in zip(sample_sizes, aggregation_dims)
-    ]
-    if include_combination:
-        if combination_dims is None:
-            raise SchemaError("include_combination requires combination_dims")
-        layers += [WorkloadLayer(1, din, dout) for din, dout in combination_dims]
-    return WorkloadSpec(num_nodes, block_size, tuple(layers))
 
 
 class Stage(str, Enum):

@@ -117,37 +117,6 @@ def profile_phase(
     return PhaseProfile(flops, matvec_flops, bytes_moved, intensity)
 
 
-def count_flops(
-    variant: Variant,
-    phase: Phase,
-    stats: GraphStats,
-    in_dim: int,
-    out_dim: int,
-    samples: int,
-    heads: int = 1,
-    head_dim: int = 0,
-) -> int:
-    """Total FLOPs of one layer phase over the whole graph."""
-    return profile_phase(variant, phase, stats, in_dim, out_dim, samples, heads, head_dim).flops
-
-
-def arithmetic_intensity(
-    variant: Variant,
-    phase: Phase,
-    stats: GraphStats,
-    in_dim: int,
-    out_dim: int,
-    samples: int,
-    heads: int = 1,
-    head_dim: int = 0,
-) -> float:
-    """FLOPs per byte moved; raises when the phase moves no bytes at all."""
-    prof = profile_phase(variant, phase, stats, in_dim, out_dim, samples, heads, head_dim)
-    if prof.intensity is None:
-        raise SchemaError("arithmetic intensity undefined: phase moves zero bytes")
-    return prof.intensity
-
-
 def compressed_flops(
     variant: Variant,
     phase: Phase,

@@ -24,7 +24,6 @@ from circgnn import (
     bc_matvec,
     bc_matvec_per_block,
     compression_stats,
-    count_flops,
     cycle_fft,
     cycle_ifft,
     cycle_mac,
@@ -43,7 +42,7 @@ from circgnn import (
     total_cycles,
 )
 from circgnn.graph import DATASET_STATS
-from circgnn.profiler import Phase, arithmetic_intensity
+from circgnn.profiler import Phase, profile_phase
 from circgnn.gnn import Variant
 
 COEFFS = default_coefficients(128)
@@ -235,18 +234,18 @@ def test_criterion_8_profiler(capsys):
     ratios = []
     for (variant, phase), want in published.items():
         kw = {"heads": 2, "head_dim": 128} if variant is Variant.GAT else {}
-        got = count_flops(variant, phase, rd, 512, 512, 25, **kw)
+        got = profile_phase(variant, phase, rd, 512, 512, 25, **kw).flops
         ratios.append(got / want)
         if not want / 2 <= got <= want * 2:
             problems.append(f"{variant.value}/{phase.value}: {got:.2e} vs {want:.2e}")
-        intensity = arithmetic_intensity(variant, phase, rd, 512, 512, 25, **kw)
+        intensity = profile_phase(variant, phase, rd, 512, 512, 25, **kw).intensity
         memory_bound = (variant, phase) == (Variant.GCN, Phase.AGGREGATION)
         if memory_bound and intensity >= 10:
             problems.append(f"gcn aggregation intensity {intensity:.1f}")
         if not memory_bound and intensity <= 100:
             problems.append(f"{variant.value}/{phase.value} intensity {intensity:.1f}")
-    gg = count_flops(Variant.G_GCN, Phase.AGGREGATION, rd, 512, 512, 25)
-    gs = count_flops(Variant.GS_POOL, Phase.AGGREGATION, rd, 512, 512, 25)
+    gg = profile_phase(Variant.G_GCN, Phase.AGGREGATION, rd, 512, 512, 25).flops
+    gs = profile_phase(Variant.GS_POOL, Phase.AGGREGATION, rd, 512, 512, 25).flops
     if not 1.8 <= gg / gs <= 2.2:
         problems.append(f"gated/pooled ratio {gg / gs:.2f}")
     announce(capsys, 8, "profiler within 2x with exact orderings",

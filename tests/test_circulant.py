@@ -18,14 +18,11 @@ from circgnn import (
     bc_matvec_per_block,
     compression_stats,
     fft,
-    irfft,
     new_random,
     op_counts,
     precompute_spectral,
     project_to_block_circulant,
     reset_op_counts,
-    rfft,
-    rfft_matvec,
     to_dense,
 )
 
@@ -101,24 +98,6 @@ class TestFft:
         rng = np.random.default_rng(6)
         a, b = rng.normal(size=16), rng.normal(size=16)
         assert np.allclose(fft(2.5 * a - b), 2.5 * fft(a) - fft(b), atol=1e-12)
-
-
-class TestRfft:
-    @pytest.mark.parametrize("n", [2, 4, 8, 32, 128])
-    def test_matches_full_transform_half_spectrum(self, n):
-        rng = np.random.default_rng(n)
-        x = rng.normal(size=n)
-        assert np.max(np.abs(rfft(x) - fft(x)[: n // 2 + 1])) < 1e-9
-
-    @pytest.mark.parametrize("n", [2, 4, 16, 128])
-    def test_roundtrip(self, n):
-        rng = np.random.default_rng(n + 1)
-        x = rng.normal(size=n)
-        assert np.max(np.abs(irfft(rfft(x), n) - x)) < 1e-12
-
-    def test_wrong_bin_count_rejected(self):
-        with pytest.raises(SchemaError):
-            irfft(np.zeros(4, dtype=complex), 16)
 
 
 # --- expansion, construction, projection -------------------------------------
@@ -344,29 +323,6 @@ class TestBcMatvec:
         assert spec.bins.shape == (8, 5, 3)
         assert np.shares_memory(spec.blocks, spec.bins)
         assert np.allclose(spec.blocks, fft(w.defining_vectors), atol=1e-12)
-
-
-class TestRfftMatvec:
-    @pytest.mark.parametrize("rows,cols,n", [(512, 512, 128), (33, 47, 4), (10, 6, 8)])
-    def test_matches_complex_path(self, rows, cols, n):
-        rng = np.random.default_rng(n)
-        w = new_random(rows, cols, n, seed=n)
-        h = rng.normal(size=cols)
-        full = bc_matvec(w.spectral(), h)
-        half = rfft_matvec(w.spectral(), h)
-        assert np.max(np.abs(full - half)) < 1e-9
-
-    def test_multiply_count_under_point_six_of_complex_path(self):
-        w = new_random(512, 512, 128, seed=7)
-        spec = w.spectral()
-        h = np.random.default_rng(7).normal(size=512)
-        reset_op_counts()
-        bc_matvec(spec, h)
-        complex_muls = op_counts().multiplies
-        reset_op_counts()
-        rfft_matvec(spec, h)
-        real_muls = op_counts().multiplies
-        assert real_muls < 0.6 * complex_muls
 
 
 # --- compression ratios -------------------------------------------------------

@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from circgnn import GnnModel, GnnModelConfig, load_weights, random_weights, save_weights
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -161,6 +163,56 @@ class TestCompress:
                        "--block-size", 2)
         assert proc.returncode == 3
         assert "dense" in proc.stderr
+
+    def test_attention_heads_are_compressed(self, tmp_path):
+        cfg = GnnModelConfig("gat", ((8, 8),), (2,), gat_heads=2, gat_head_dim=4)
+        path, out, report_path = tmp_path / "gat.json", tmp_path / "c.json", tmp_path / "r.json"
+        save_weights(random_weights(cfg, seed=3), path)
+        run_cli("compress", "--weights", path, "--block-size", 4,
+                "--out", out, "--report", report_path, check=True)
+        rows = json.loads(report_path.read_text())["outputs"]["per_matrix"]
+        assert [row["name"] for row in rows] == ["W", "W_att[0]", "W_att[1]"]
+        saved = json.loads(out.read_text())["layers"][0]
+        assert [w["block_size"] for w in saved["W_att"]] == [4, 4]
+        assert [a["block_size"] for a in saved["a_att"]] == [1, 1]
+        compressed = GnnModelConfig("gat", ((8, 8),), (2,), block_size=4,
+                                    gat_heads=2, gat_head_dim=4)
+        GnnModel(compressed, load_weights(out))  # must validate
+
+
+def _weights_with(**fields):
+    entry = {"rows": 4, "cols": 4, "block_size": 2, "defining_vectors": [0.1] * 8}
+    return {"layers": [{"W": {**entry, **fields}}]}
+
+
+MODEL = json.loads((DATA / "five_nodes_model.json").read_text())
+NAN, INF = float("nan"), float("inf")
+MALFORMED = {
+    "non-numeric vectors": ("weights", _weights_with(defining_vectors=["a"] * 8), 2),
+    "ragged vectors": ("weights", _weights_with(defining_vectors=[[0.1] * 4, [0.1] * 3]), 2),
+    "null rows": ("weights", _weights_with(rows=None), 2),
+    "text rows": ("weights", _weights_with(rows="four"), 2),
+    "nan dense": ("weights", _weights_with(block_size=1, defining_vectors=[0.1] * 15 + [NAN]), 2),
+    "nan compressed": ("weights", _weights_with(defining_vectors=[0.1] * 7 + [NAN]), 2),
+    "inf compressed": ("weights", _weights_with(defining_vectors=[INF] + [0.1] * 7), 2),
+    "null sample size": ("model", {**MODEL, "sample_sizes": [None]}, 3),
+    "text block size": ("model", {**MODEL, "block_size": "two"}, 3),
+    "fractional sample size": ("model", {**MODEL, "sample_sizes": [2.5]}, 3),
+    "fractional dims": ("model", {**MODEL, "dims": [[4.0, 4]]}, 3),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_file_exits_with_documented_code(tmp_path, case):
+    kind, doc, code = MALFORMED[case]
+    files = {"model": DATA / "five_nodes_model.json", "weights": DATA / "five_nodes_weights.json"}
+    files[kind] = tmp_path / f"{kind}.json"
+    files[kind].write_text(json.dumps(doc))
+    proc = run_cli("infer", "--model", files["model"], "--weights", files["weights"],
+                   "--graph", DATA / "five_nodes_edges.txt",
+                   "--features", DATA / "five_nodes_features.csv")
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 SEARCH_CONFIG = {

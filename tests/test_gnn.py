@@ -1,5 +1,8 @@
 """Variant semantics, sampling determinism, compressed-vs-dense agreement."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +31,7 @@ from circgnn import (
     sample_neighbors,
     synthetic_graph,
     to_dense,
+    weight_entry,
 )
 
 
@@ -244,6 +248,40 @@ class TestWeightValidation:
                 variant, dims=((8, 8), (8, 8)), sample_sizes=(3, 2), block_size=4, **extra
             )
             GnnModel(cfg, random_weights(cfg, seed=11))  # must not raise
+
+    def test_slot_the_variant_lacks_rejected(self):
+        cfg = GnnModelConfig("gcn", dims=((4, 4),), sample_sizes=(2,))
+        with pytest.raises(SchemaError, match="W_H"):
+            GnnModel(cfg, [LayerWeights(W=np.zeros((4, 4)), W_H=np.zeros((4, 4)))])
+
+    def test_head_shape_error_names_the_head(self):
+        cfg = GnnModelConfig("gat", dims=((4, 4),), sample_sizes=(2,), gat_heads=2, gat_head_dim=2)
+        lw = random_weights(cfg, seed=3)[0]
+        lw.W_att[1] = np.zeros((3, 4))
+        with pytest.raises(SchemaError, match=r"W_att\[1\]"):
+            GnnModel(cfg, [lw])
+
+
+class TestRandomWeights:
+    def test_draws_are_pinned(self):
+        # sha256 of every slot and head, computed before the slot table existed;
+        # benchmark inputs are drawn by random_weights and must not move
+        digest = hashlib.sha256()
+        for variant in ("gcn", "gspool", "ggcn", "gat"):
+            for n in (1, 4, 16):
+                extra = {"gat_heads": 3, "gat_head_dim": 8} if variant == "gat" else {}
+                cfg = GnnModelConfig(variant, ((32, 16), (16, 8)), (3, 2), block_size=n, **extra)
+                for lw in random_weights(cfg, 7):
+                    for name in ("W", "W_pool", "b", "W_H", "W_C", "W_att", "a_att"):
+                        value = getattr(lw, name)
+                        if value is None:
+                            continue
+                        for w in value if isinstance(value, list) else [value]:
+                            digest.update(name.encode())
+                            digest.update(json.dumps(weight_entry(w)).encode())
+        assert digest.hexdigest() == (
+            "a7bd75c51cef818eb69caf8dcc35b3586188310161379baf45ee793fbd2e2851"
+        )
 
 
 def _graph_and_config(variant, block_size=8, dims=((16, 16), (16, 16)), samples=(3, 2)):

@@ -131,7 +131,8 @@ class TestWeightFiles:
 
     def test_mixed_dense_and_compressed(self, tmp_path):
         cfg = GnnModelConfig("gspool", ((8, 8),), (2,), block_size=4)
-        layers = random_weights(cfg, seed=13, dense_names={"W_pool"})
+        layers = random_weights(cfg, seed=13)
+        layers[0].W_pool = to_dense(layers[0].W_pool)
         path = tmp_path / "w.json"
         save_weights(layers, path)
         back = load_weights(path)

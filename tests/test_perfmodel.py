@@ -22,7 +22,6 @@ from circgnn import (
     default_coefficients,
     dsp_usage,
     layer_cycles,
-    model_workload,
     search_optimal,
     total_cycles,
 )
@@ -121,22 +120,6 @@ class TestTotals:
         wl = WorkloadSpec(5, 64, (WorkloadLayer(2, 64, 64),))
         with pytest.raises(SchemaError):
             total_cycles(wl, CFG_CR, COEFFS)
-
-    def test_model_workload_combination_layers(self):
-        wl = model_workload(
-            100,
-            (25, 10),
-            ((512, 512), (512, 512)),
-            128,
-            combination_dims=((1024, 512), (1024, 512)),
-            include_combination=True,
-        )
-        assert len(wl.layers) == 4
-        assert wl.layers[2] == WorkloadLayer(1, 1024, 512)
-
-    def test_model_workload_requires_dims_when_flagged(self):
-        with pytest.raises(SchemaError):
-            model_workload(100, (25,), ((512, 512),), 128, include_combination=True)
 
     @given(
         x=st.integers(1, 40),

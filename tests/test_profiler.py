@@ -10,9 +10,7 @@ from circgnn import (
     Phase,
     SchemaError,
     Variant,
-    arithmetic_intensity,
     compressed_flops,
-    count_flops,
     profile_grid,
     profile_phase,
 )
@@ -42,23 +40,23 @@ def _kwargs(variant):
 class TestPublishedTargets:
     @pytest.mark.parametrize("variant,phase", list(PUBLISHED))
     def test_within_factor_two(self, variant, phase):
-        got = count_flops(variant, phase, REDDIT, **_kwargs(variant))
+        got = profile_phase(variant, phase, REDDIT, **_kwargs(variant)).flops
         want = PUBLISHED[(variant, phase)]
         assert want / 2 <= got <= want * 2
 
     def test_gcn_aggregation_is_memory_bound(self):
-        assert arithmetic_intensity(Variant.GCN, Phase.AGGREGATION, REDDIT, **SETUP) < 10
+        assert profile_phase(Variant.GCN, Phase.AGGREGATION, REDDIT, **SETUP).intensity < 10
 
     @pytest.mark.parametrize(
         "variant,phase", [k for k in PUBLISHED if k != (Variant.GCN, Phase.AGGREGATION)]
     )
     def test_everything_else_is_compute_bound(self, variant, phase):
-        got = arithmetic_intensity(variant, phase, REDDIT, **_kwargs(variant))
+        got = profile_phase(variant, phase, REDDIT, **_kwargs(variant)).intensity
         assert got > 100
 
     def test_gated_to_pooled_aggregation_ratio(self):
-        gg = count_flops(Variant.G_GCN, Phase.AGGREGATION, REDDIT, **SETUP)
-        gs = count_flops(Variant.GS_POOL, Phase.AGGREGATION, REDDIT, **SETUP)
+        gg = profile_phase(Variant.G_GCN, Phase.AGGREGATION, REDDIT, **SETUP).flops
+        gs = profile_phase(Variant.GS_POOL, Phase.AGGREGATION, REDDIT, **SETUP).flops
         assert 1.8 <= gg / gs <= 2.2
 
 
@@ -120,12 +118,6 @@ class TestIntensityEdgeCases:
         small = profile_phase(Variant.GCN, Phase.COMBINATION, GraphStats(10, 0, 2, 0), 2, 8, 1)
         assert small.intensity < prof.intensity
 
-    def test_zero_byte_phase_raises(self):
-        with pytest.raises(SchemaError):
-            arithmetic_intensity(
-                Variant.GCN, Phase.AGGREGATION, GraphStats(0, 0, 4, 0), 4, 4, 2
-            )
-
     def test_profile_of_empty_graph_is_zero(self):
         prof = profile_phase(Variant.GCN, Phase.AGGREGATION, GraphStats(0, 0, 4, 0), 4, 4, 2)
         assert prof.flops == 0
@@ -144,17 +136,17 @@ class TestCompressedFlops:
 
     def test_reduction_approaches_theoretical_ratio(self):
         # matvec-dominated phase: compression ratio tends to n/log2(n)
-        dense = count_flops(Variant.GS_POOL, Phase.COMBINATION, REDDIT, **SETUP)
+        dense = profile_phase(Variant.GS_POOL, Phase.COMBINATION, REDDIT, **SETUP).flops
         comp = compressed_flops(Variant.GS_POOL, Phase.COMBINATION, REDDIT, block_size=128, **SETUP)
         assert dense / comp == pytest.approx(128 / 7, rel=0.01)
 
     def test_block_one_is_identity(self):
-        dense = count_flops(Variant.GCN, Phase.COMBINATION, REDDIT, **SETUP)
+        dense = profile_phase(Variant.GCN, Phase.COMBINATION, REDDIT, **SETUP).flops
         assert compressed_flops(Variant.GCN, Phase.COMBINATION, REDDIT, block_size=1, **SETUP) == dense
 
     def test_gcn_aggregation_unchanged_by_compression(self):
         # no weights in the phase, nothing to compress
-        dense = count_flops(Variant.GCN, Phase.AGGREGATION, REDDIT, **SETUP)
+        dense = profile_phase(Variant.GCN, Phase.AGGREGATION, REDDIT, **SETUP).flops
         assert compressed_flops(Variant.GCN, Phase.AGGREGATION, REDDIT, block_size=128, **SETUP) == dense
 
     def test_bad_block_size_rejected(self):
