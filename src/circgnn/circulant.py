@@ -26,10 +26,11 @@ Spectra are stored once, frequency-major (``SpectralWeights.bins``, with
 rows: transforms run batched, and each output row is bit-identical whatever
 other rows share the batch.
 
-All transforms here are hand-rolled radix-2 so the module can count the
-work it does: ``op_counts()`` exposes transform-call and complex-multiply
-counters used by the equivalence and operation-count tests.  Counters are
-process-global and not thread-safe; they are diagnostics, not results.
+Every transform goes through ``fft``, which runs numpy's pocketfft and
+counts the work in the radix-2 model: ``op_counts()`` exposes transform-call
+and complex-multiply counters used by the equivalence and operation-count
+tests.  Counters are process-global and not thread-safe; they are
+diagnostics, not results.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ class OpCounts:
 
     fft_calls: int = 0
     ifft_calls: int = 0
-    multiplies: int = 0  # complex multiplies in butterflies and spectral products
+    multiplies: int = 0  # complex multiplies: radix-2 butterflies plus spectral products
     matvec_calls: int = 0
 
 
@@ -72,36 +73,14 @@ def is_power_of_two(k: int) -> bool:
     return k >= 1 and (k & (k - 1)) == 0
 
 
-_REV_CACHE: dict[int, np.ndarray] = {}
-_TWIDDLE_CACHE: dict[tuple[int, bool], np.ndarray] = {}
-
-
-def _bit_reversal(n: int) -> np.ndarray:
-    rev = _REV_CACHE.get(n)
-    if rev is None:
-        bits = n.bit_length() - 1
-        rev = np.zeros(n, dtype=np.int64)
-        for i in range(1, n):
-            rev[i] = (rev[i >> 1] >> 1) | ((i & 1) << (bits - 1))
-        _REV_CACHE[n] = rev
-    return rev
-
-
-def _twiddles(size: int, inverse: bool) -> np.ndarray:
-    key = (size, inverse)
-    tw = _TWIDDLE_CACHE.get(key)
-    if tw is None:
-        sign = 2j if inverse else -2j
-        tw = np.exp(sign * np.pi * np.arange(size // 2) / size)
-        _TWIDDLE_CACHE[key] = tw
-    return tw
-
-
 def fft(x, inverse: bool = False) -> np.ndarray:
-    """Radix-2 transform along the last axis; lengths must be powers of two.
+    """Transform along the last axis; lengths must be powers of two.
 
-    inverse=True applies conjugate twiddles and the 1/n scale.  Leading axes
-    are treated as a batch and each batch row counts as one transform call.
+    inverse=True applies the 1/n scale.  Leading axes are treated as a batch
+    and each batch row counts as one transform call.  The work runs on
+    numpy's pocketfft, which transforms every row independently of the
+    others, but the counters charge the radix-2 model: (n/2) log2 n complex
+    multiplies per row.
     """
     a = np.asarray(x, dtype=np.complex128)
     n = a.shape[-1]
@@ -112,29 +91,8 @@ def fft(x, inverse: bool = False) -> np.ndarray:
         _counts.ifft_calls += batch
     else:
         _counts.fft_calls += batch
-    if n == 1:
-        return a.copy()
-
-    out_shape = a.shape
-    # take keeps rows C-contiguous, as fancy indexing does not for many rows
-    a = np.take(a.reshape(batch, n), _bit_reversal(n), axis=1)
-    b = np.empty_like(a)  # the butterflies ping-pong between a and b
-    size = 2
-    while size <= n:
-        half = size // 2
-        tw = _twiddles(size, inverse)
-        v = a.reshape(batch, n // size, size)
-        w = b.reshape(batch, n // size, size)
-        upper = v[:, :, :half]
-        lower = v[:, :, half:] * tw
-        _counts.multiplies += batch * (n // 2)
-        np.add(upper, lower, out=w[:, :, :half])
-        np.subtract(upper, lower, out=w[:, :, half:])
-        a, b = b, a
-        size *= 2
-    if inverse:
-        a = a / n
-    return a.reshape(out_shape)
+    _counts.multiplies += batch * (n // 2) * (n.bit_length() - 1)
+    return np.fft.ifft(a) if inverse else np.fft.fft(a)
 
 
 def _block_counts(rows: int, cols: int, block_size: int) -> tuple[int, int]:
@@ -232,6 +190,8 @@ def _pad_input(weights: SpectralWeights, h) -> np.ndarray:
         raise SchemaError(
             f"input has shape {h.shape}, weight expects ({weights.cols},) or (B, {weights.cols})"
         )
+    if not np.isfinite(h).all():  # before any transform turns it into a warning
+        raise InternalConsistencyError("spectral matvec: non-finite input value")
     n, q = weights.block_size, weights.q
     padded = np.zeros(h.shape[:-1] + (q * n,))
     padded[..., : weights.cols] = h

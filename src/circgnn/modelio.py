@@ -5,9 +5,10 @@ with the vectors flattened row-major over (block_row, block_col, offset).
 block_size == 1 is the dense sentinel: every block is 1x1, so the payload is
 simply the dense matrix row-major.  Plain vectors (biases, attention scoring
 vectors) use the same shape with cols == 1 and block_size == 1.  Sizes must
-be JSON integers and values finite numbers; anything else is an
-InputParseError.  A weight file's layer objects hold the slots of
-``LayerWeights``, the per-head slots as lists.
+be JSON integers and values a flat list of finite numbers (no text,
+booleans, nulls or nesting); anything else is an InputParseError.  A weight
+file's layer objects hold the slots of ``LayerWeights``, the per-head slots
+as lists.
 """
 
 from __future__ import annotations
@@ -108,10 +109,13 @@ def parse_weight_entry(doc: dict, context: str, as_vector: bool = False):
     if not isinstance(doc, dict):
         raise SchemaError(f"{context}: weight entry must be an object")
     rows, cols, n = (_integer(doc, key, context) for key in ("rows", "cols", "block_size"))
-    try:
-        flat = np.asarray(_require(doc, "defining_vectors", context), dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise InputParseError(f"{context}: defining_vectors must be a list of numbers") from exc
+    try:  # no dtype, so that text, booleans, nulls and nesting show in kind and ndim
+        flat = np.asarray(_require(doc, "defining_vectors", context))
+    except ValueError:  # ragged nesting
+        flat = None
+    if flat is None or flat.dtype.kind not in "iuf" or flat.ndim != 1:
+        raise InputParseError(f"{context}: defining_vectors must be a flat list of numbers")
+    flat = flat.astype(np.float64, copy=False)
     if not np.isfinite(flat).all():
         raise InputParseError(f"{context}: non-finite weight value")
     if rows < 1 or cols < 1 or n < 1:

@@ -1,7 +1,7 @@
 """Tests of the compressed-matrix module.
 
 The load-bearing checks pair each implementation route with an independent
-oracle: the radix-2 transform against a direct O(n^2) DFT, and the spectral
+oracle: the transform against a direct O(n^2) DFT, and the spectral
 matvec against plain dense multiplication over a loop-expanded matrix.
 """
 
@@ -83,6 +83,27 @@ class TestFft:
         for i in range(3):
             for j in range(5):
                 assert np.allclose(got[i, j], dft_oracle(x[i, j]), atol=1e-9)
+
+    @pytest.mark.parametrize("inverse", [False, True])
+    @pytest.mark.parametrize("n", [2, 16, 128])
+    @pytest.mark.parametrize("lead", [(1,), (7,), (4001,), (3, 7), (2, 2003)])
+    def test_rows_bit_identical_batched_and_alone(self, lead, n, inverse):
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=lead + (n,)) + 1j * rng.normal(size=lead + (n,))
+        got = fft(x, inverse=inverse).reshape(-1, n)
+        for row, alone in zip(x.reshape(-1, n), got):
+            assert np.array_equal(fft(row, inverse=inverse), alone)
+
+    @pytest.mark.parametrize("inverse", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 16, 128])
+    @pytest.mark.parametrize("shape", [(), (5,), (2, 3)])
+    def test_counts_charge_the_radix2_model(self, shape, n, inverse):
+        rows = int(np.prod(shape))
+        reset_op_counts()
+        fft(np.ones(shape + (n,)), inverse=inverse)
+        counts = op_counts()
+        assert (counts.fft_calls, counts.ifft_calls) == ((0, rows) if inverse else (rows, 0))
+        assert counts.multiplies == rows * (n // 2) * (n.bit_length() - 1)
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(SchemaError):
@@ -272,7 +293,6 @@ class TestBcMatvec:
         with pytest.raises(InternalConsistencyError):
             bc_matvec(spec, np.arange(8, dtype=float))
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_input_trips_consistency_check(self, bad):
         w = new_random(8, 8, 4, seed=5)

@@ -190,6 +190,10 @@ NAN, INF = float("nan"), float("inf")
 MALFORMED = {
     "non-numeric vectors": ("weights", _weights_with(defining_vectors=["a"] * 8), 2),
     "ragged vectors": ("weights", _weights_with(defining_vectors=[[0.1] * 4, [0.1] * 3]), 2),
+    "text number vectors": ("weights", _weights_with(defining_vectors=["1.5"] * 8), 2),
+    "boolean vectors": ("weights", _weights_with(defining_vectors=[True, False] * 4), 2),
+    "nested vectors": ("weights", _weights_with(defining_vectors=[[0.1]] * 8), 2),
+    "null in vectors": ("weights", _weights_with(defining_vectors=[None] + [0.1] * 7), 2),
     "null rows": ("weights", _weights_with(rows=None), 2),
     "text rows": ("weights", _weights_with(rows="four"), 2),
     "nan dense": ("weights", _weights_with(block_size=1, defining_vectors=[0.1] * 15 + [NAN]), 2),

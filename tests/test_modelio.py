@@ -93,6 +93,19 @@ class TestWeightEntries:
         with pytest.raises(SchemaError):
             parse_weight_entry(entry, "t", as_vector=True)
 
+    @pytest.mark.parametrize("values", [["1.5", "2"], [True, False], [[1.0], [2.0]],
+                                        [None, 1.0], [[1.0, 2.0], [3.0]]])
+    def test_values_that_are_not_a_flat_list_of_numbers_rejected(self, values):
+        entry = {"rows": 2, "cols": 1, "block_size": 1, "defining_vectors": values}
+        with pytest.raises(InputParseError, match="flat list of numbers"):
+            parse_weight_entry(entry, "t")
+
+    def test_integer_values_load_as_floats(self):
+        entry = {"rows": 2, "cols": 1, "block_size": 1, "defining_vectors": [1, -2]}
+        back = parse_weight_entry(entry, "t", as_vector=True)
+        assert back.dtype == np.float64
+        assert np.array_equal(back, [1.0, -2.0])
+
     def test_context_appears_in_errors(self):
         with pytest.raises(SchemaError, match="layer 3: W_H"):
             parse_weight_entry({"rows": 1}, "layer 3: W_H")
