@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .perfmodel import (
     dsp_usage,
     search_optimal,
 )
-from .profiler import Phase, compressed_flops, profile_grid
+from .profiler import compressed_flops, profile_grid
 
 
 @dataclass
@@ -156,37 +156,30 @@ def _load_search_config(path) -> tuple[WorkloadSpec, CostCoefficients, int, int]
     doc = modelio._read_json(path)
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: search config must be an object")
-    for key in ("num_nodes", "block_size", "layers"):
-        if key not in doc:
+
+    def count(obj, key, default=None):
+        if key not in obj and default is None:
             raise SchemaError(f"{path}: missing field {key!r}")
-    try:
-        layers = tuple(
-            WorkloadLayer(int(l["samples"]), int(l["in_dim"]), int(l["out_dim"]))
-            for l in doc["layers"]
-        )
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"{path}: each layer needs samples, in_dim, out_dim") from exc
-    workload = WorkloadSpec(int(doc["num_nodes"]), int(doc["block_size"]), layers)
+        value = obj.get(key, default)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise SchemaError(f"{path}: {key} must be an integer, got {value!r}")
+        return value
+
+    def counts(cls, obj):
+        names = [f.name for f in fields(cls)]
+        if not isinstance(obj, dict):
+            raise SchemaError(f"{path}: expected an object of {', '.join(names)}, got {obj!r}")
+        return cls(*(count(obj, name) for name in names))
+
+    if not isinstance(doc.get("layers"), list):
+        raise SchemaError(f"{path}: layers must be a list of objects")
+    layers = tuple(counts(WorkloadLayer, l) for l in doc["layers"])
+    workload = WorkloadSpec(count(doc, "num_nodes"), count(doc, "block_size"), layers)
     if "coefficients" in doc:
-        c = doc["coefficients"]
-        try:
-            coeffs = CostCoefficients(
-                int(c["transform_cycles"]),
-                int(c["fft_channel_dsp"]),
-                int(c["pe_dsp_per_pack"]),
-                int(c["vpu_lane_dsp"]),
-                int(c["dsp_budget"]),
-            )
-        except (KeyError, TypeError) as exc:
-            raise SchemaError(f"{path}: incomplete coefficients object") from exc
+        coeffs = counts(CostCoefficients, doc["coefficients"])
     else:
-        coeffs = default_coefficients(workload.block_size, int(doc.get("dsp_budget", 900)))
-    return (
-        workload,
-        coeffs,
-        int(doc.get("max_pe_rows", 32)),
-        int(doc.get("max_pe_cols", 32)),
-    )
+        coeffs = default_coefficients(workload.block_size, count(doc, "dsp_budget", 900))
+    return workload, coeffs, count(doc, "max_pe_rows", 32), count(doc, "max_pe_cols", 32)
 
 
 def _cmd_search(args) -> RunReport:
@@ -240,46 +233,33 @@ def _cmd_profile(args) -> RunReport:
             )
         stats = DATASET_STATS[args.dataset]
     else:
-        stats = GraphStats(args.nodes, args.edges, args.in_dim, 0)
+        stats = GraphStats(args.nodes, 0, args.in_dim, 0)
     variants = list(Variant) if args.variant == "all" else [Variant(args.variant)]
-    if stats.num_nodes == 0:
-        grid_rows = [
-            {
-                "variant": v.value,
-                "phase": ph.value,
-                "flops": 0,
-                "bytes_moved": 0,
-                "intensity": None,
-            }
-            for v in variants
-            for ph in Phase
-        ]
-    else:
-        grid = profile_grid(
-            stats,
-            args.in_dim,
-            args.out_dim,
-            args.samples,
-            heads=args.heads,
-            head_dim=args.head_dim,
-            variants=variants,
-        )
-        grid_rows = []
-        for (v, ph), prof in grid.items():
-            row = {
-                "variant": v.value,
-                "phase": ph.value,
-                "flops": prof.flops,
-                "matvec_flops": prof.matvec_flops,
-                "bytes_moved": prof.bytes_moved,
-                "intensity": prof.intensity,
-            }
-            if args.block_size > 1:
-                row["compressed_flops"] = compressed_flops(
-                    v, ph, stats, args.in_dim, args.out_dim, args.samples,
-                    args.block_size, heads=args.heads, head_dim=args.head_dim,
-                )
-            grid_rows.append(row)
+    grid = profile_grid(
+        stats,
+        args.in_dim,
+        args.out_dim,
+        args.samples,
+        heads=args.heads,
+        head_dim=args.head_dim,
+        variants=variants,
+    )
+    grid_rows = []
+    for (v, ph), prof in grid.items():
+        row = {
+            "variant": v.value,
+            "phase": ph.value,
+            "flops": prof.flops,
+            "matvec_flops": prof.matvec_flops,
+            "bytes_moved": prof.bytes_moved,
+            "intensity": prof.intensity,
+        }
+        if args.block_size > 1:
+            row["compressed_flops"] = compressed_flops(
+                v, ph, stats, args.in_dim, args.out_dim, args.samples,
+                args.block_size, heads=args.heads, head_dim=args.head_dim,
+            )
+        grid_rows.append(row)
     return RunReport(
         command="profile",
         seed=args.seed,
@@ -376,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("profile", parents=[shared], help="closed-form FLOP/intensity profile")
     p.add_argument("--dataset", default=None, choices=sorted(DATASET_STATS))
     p.add_argument("--nodes", type=int, default=0)
-    p.add_argument("--edges", type=int, default=0)
     p.add_argument("--samples", type=int, default=25)
     p.add_argument("--in-dim", type=int, default=512)
     p.add_argument("--out-dim", type=int, default=512)

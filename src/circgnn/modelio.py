@@ -109,11 +109,18 @@ def parse_weight_entry(doc: dict, context: str, as_vector: bool = False):
     if not isinstance(doc, dict):
         raise SchemaError(f"{context}: weight entry must be an object")
     rows, cols, n = (_integer(doc, key, context) for key in ("rows", "cols", "block_size"))
+    raw = _require(doc, "defining_vectors", context)
     try:  # no dtype, so that text, booleans, nulls and nesting show in kind and ndim
-        flat = np.asarray(_require(doc, "defining_vectors", context))
+        flat = np.asarray(raw)
     except ValueError:  # ragged nesting
         flat = None
-    if flat is None or flat.dtype.kind not in "iuf" or flat.ndim != 1:
+    if (
+        flat is None
+        or flat.dtype.kind not in "iuf"
+        or flat.ndim != 1
+        # numpy reads booleans among numbers as 0 and 1, so only those entries can be one
+        or any(type(raw[i]) is bool for i in np.flatnonzero((flat == 0) | (flat == 1)))
+    ):
         raise InputParseError(f"{context}: defining_vectors must be a flat list of numbers")
     flat = flat.astype(np.float64, copy=False)
     if not np.isfinite(flat).all():
@@ -144,8 +151,8 @@ def parse_weight_entry(doc: dict, context: str, as_vector: bool = False):
 
 def save_weights(layers: list[LayerWeights], path) -> None:
     out = [map_slots(vars(lw), lambda slot, label, w: weight_entry(w)) for lw in layers]
-    with open(path, "w") as fh:
-        json.dump({"layers": out}, fh)
+    with open(path, "w") as fh:  # dumps runs the C encoder; dump streams through Python
+        fh.write(json.dumps({"layers": out}))
 
 
 def load_weights(path) -> list[LayerWeights]:

@@ -275,99 +275,68 @@ def search_optimal(
 ) -> SearchResult:
     """Exhaustive search for the feasible config minimizing total cycles.
 
-    Enumerates fft/ifft channel counts up to budget/fft_channel_dsp, PE grids
-    up to max_pe_rows x max_pe_cols, pack sizes over powers of two up to the
-    block size, and VPU lane counts up to budget/vpu_lane_dsp, keeping only
-    combinations within the DSP budget.  Ties are broken by lower DSP usage
-    and then by the lexicographically smallest (fft_channels, ifft_channels,
-    pe_rows, pe_cols, pack_size, vpu_lanes).
-
-    The channel grid is evaluated with vectorized stage tables per
-    (pe_rows, pe_cols, pack_size, vpu_lanes) combination; every feasible
-    point is still individually considered.
+    Enumerates VPU lane counts, pack sizes over powers of two up to the block
+    size, and the PE grids (up to max_pe_rows x max_pe_cols) that leave room
+    for one fft and one ifft channel; for each, every fft/ifft channel pair
+    within the DSP budget is evaluated at once from the stage functions.
+    Ties are broken by lower DSP usage and then by the lexicographically
+    smallest (fft_channels, ifft_channels, pe_rows, pe_cols, pack_size,
+    vpu_lanes).  All arguments are integers; PE limits must be >= 1.
     """
+    if max_pe_rows < 1 or max_pe_cols < 1:
+        raise SchemaError("max_pe_rows and max_pe_cols must be >= 1")
     n = workload.block_size
     budget = coeffs.dsp_budget
     beta = coeffs.fft_channel_dsp
-    chan_max = budget // beta
-    lane_max = budget // coeffs.vpu_lane_dsp
-    if chan_max < 2 or lane_max < 1:
+    floor_dsp = 2 * beta + coeffs.pe_dsp_per_pack + coeffs.vpu_lane_dsp
+    if budget < floor_dsp:
         raise InfeasibleError(
-            f"DSP budget {budget} cannot host even one FFT channel pair and one vector lane"
+            f"no configuration meets the DSP budget of {budget} "
+            f"(the minimal design needs {floor_dsp})"
         )
 
-    pack_sizes = [1 << k for k in range(n.bit_length()) if (1 << k) <= n]
     layers = workload.layers
-    q_list = [layer.q(n) for layer in layers]
-    p_list = [layer.p(n) for layer in layers]
+    # fft/ifft stage cycles for every channel count; either bank leaves the other >= 1
+    chans = np.arange(1, budget // beta, dtype=np.int64)
+    transforms = [
+        np.maximum.outer(
+            cycle_fft(l.samples, l.q(n), chans, coeffs.transform_cycles),
+            cycle_ifft(l.samples, l.p(n), chans, coeffs.transform_cycles),
+        )
+        for l in layers
+    ]
+    chan_sum = chans[:, None] + chans[None, :]  # x + y: DSP cost and tie rank
+    infeasible = np.iinfo(np.int64).max
 
     best_key = None  # (per_node_cycles, dsp, x, y, r, c, l, m)
     explored = 0
-
-    chans = np.arange(1, chan_max + 1, dtype=np.int64)
-    # fft/ifft stage cycles depend only on the channel counts; precompute per layer
-    fft_tab = [
-        coeffs.transform_cycles * -(-(layer.samples * q) // chans)
-        for layer, q in zip(layers, q_list)
-    ]
-    ifft_tab = [
-        coeffs.transform_cycles * -(-(layer.samples * p) // chans)
-        for layer, p in zip(layers, p_list)
-    ]
-
-    for lanes in range(1, lane_max + 1):
-        vpu = [cycle_vpu(layer.samples, layer.out_dim, lanes) for layer in layers]
-        dsp_lanes = lanes * coeffs.vpu_lane_dsp
-        for pack in pack_sizes:
-            for rows in range(1, max_pe_rows + 1):
-                for cols in range(1, max_pe_cols + 1):
-                    dsp_fixed = (
-                        dsp_lanes + rows * cols * coeffs.pe_dsp_per_pack * pack
-                    )
-                    chan_budget = (budget - dsp_fixed) // beta
-                    if chan_budget < 2:
-                        continue
-                    mac = [
-                        cycle_mac(layer.samples, q, p, rows, cols, n, pack)
-                        for layer, q, p in zip(layers, q_list, p_list)
+    for lanes in range(1, budget // coeffs.vpu_lane_dsp + 1):
+        vpu = [cycle_vpu(l.samples, l.out_dim, lanes) for l in layers]
+        spare = budget - 2 * beta - lanes * coeffs.vpu_lane_dsp  # DSPs left for the PE array
+        for pack in (1 << k for k in range(n.bit_length())):
+            unit = coeffs.pe_dsp_per_pack * pack
+            for rows in range(1, min(max_pe_rows, spare // unit) + 1):
+                for cols in range(1, min(max_pe_cols, spare // (unit * rows)) + 1):
+                    dsp_fixed = lanes * coeffs.vpu_lane_dsp + rows * cols * unit
+                    room = (budget - dsp_fixed) // beta  # x + y <= room, room >= 2
+                    explored += room * (room - 1) // 2
+                    w = room - 1  # largest x or y
+                    sums = chan_sum[:w, :w]
+                    floors = [
+                        max(v, cycle_mac(l.samples, l.q(n), l.p(n), rows, cols, n, pack))
+                        for v, l in zip(vpu, layers)
                     ]
-                    hi = min(chan_max, chan_budget - 1)
-                    floor = [max(m, v) for m, v in zip(mac, vpu)]
-                    # per-node cycles for every (x, y) pair in one shot
-                    grid = sum(
-                        np.maximum(
-                            np.maximum.outer(f[:hi], g[:hi]), fl
-                        )
-                        for f, g, fl in zip(fft_tab, ifft_tab, floor)
-                    )
-                    x_idx, y_idx = np.indices(grid.shape)
-                    feasible = (x_idx + y_idx + 2) <= chan_budget
-                    explored += int(np.count_nonzero(feasible))
-                    masked = np.where(feasible, grid, np.iinfo(np.int64).max)
-                    combo_min = int(masked.min())
-                    if combo_min == np.iinfo(np.int64).max:
+                    per_node = sum(np.maximum(t[:w, :w], f) for t, f in zip(transforms, floors))
+                    per_node = np.where(sums <= room, per_node, infeasible)
+                    cycles = int(per_node.min())
+                    if best_key is not None and cycles > best_key[0]:
                         continue
-                    if best_key is not None and combo_min > best_key[0]:
-                        continue
-                    xs, ys = np.nonzero(masked == combo_min)
-                    sums = xs + ys  # x + y - 2
-                    lean = int(sums.min())
-                    pick = sums == lean
-                    x = int(xs[pick].min()) + 1
-                    y = lean + 2 - x
-                    key = (
-                        combo_min,
-                        beta * (x + y) + dsp_fixed,
-                        x, y, rows, cols, pack, lanes,
-                    )
-                    if best_key is None or key < best_key:
-                        best_key = key
+                    # fewest channels first, then fewest fft channels (row-major order)
+                    pick = int(np.argmin(np.where(per_node == cycles, sums, infeasible)))
+                    x, y = pick // w + 1, pick % w + 1
+                    key = (cycles, beta * (x + y) + dsp_fixed, x, y, rows, cols, pack, lanes)
+                    best_key = min(best_key or key, key)
 
-    if best_key is None:
-        raise InfeasibleError(
-            f"no configuration meets the DSP budget of {budget} "
-            f"(the minimal design needs {2 * beta + coeffs.pe_dsp_per_pack + coeffs.vpu_lane_dsp})"
-        )
     _, dsp, x, y, rows, cols, pack, lanes = best_key
     hw = HardwareConfig(x, y, rows, cols, pack, lanes, n)
     return SearchResult(hw, total_cycles(workload, hw, coeffs), dsp, explored)

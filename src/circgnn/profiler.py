@@ -9,7 +9,8 @@ Conventions, applied uniformly:
   * per node visit, traffic covers the feature vectors read and the result
     vector written; weights are loaded once per layer and amortize over the
     whole graph (re-streaming them per node would make every variant look
-    memory bound, which contradicts measured behavior);
+    memory bound, which contradicts measured behavior); a graph with no
+    nodes loads nothing, so its intensity is undefined;
   * sampling S neighbors per node, every node visited once per layer.
 
 The gated variant charges both gate matvecs per sampled neighbor, and the
@@ -91,7 +92,8 @@ def _whole_graph(stats: GraphStats, per_node, weight_reals: int):
     matvec, other, feat, out = per_node
     v = stats.num_nodes
     flops = v * (matvec + other)
-    bytes_moved = v * (feat + out) * _BYTES_PER_REAL + weight_reals * _BYTES_PER_REAL
+    weights = weight_reals if v > 0 else 0
+    bytes_moved = (v * (feat + out) + weights) * _BYTES_PER_REAL
     return v * matvec, flops, bytes_moved
 
 

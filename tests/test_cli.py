@@ -199,6 +199,8 @@ MALFORMED = {
     "nan dense": ("weights", _weights_with(block_size=1, defining_vectors=[0.1] * 15 + [NAN]), 2),
     "nan compressed": ("weights", _weights_with(defining_vectors=[0.1] * 7 + [NAN]), 2),
     "inf compressed": ("weights", _weights_with(defining_vectors=[INF] + [0.1] * 7), 2),
+    "boolean among floats": ("weights", _weights_with(defining_vectors=[1.5, True] + [0.1] * 6), 2),
+    "boolean among integers": ("weights", _weights_with(defining_vectors=[0, 1, True] + [2] * 5), 2),
     "null sample size": ("model", {**MODEL, "sample_sizes": [None]}, 3),
     "text block size": ("model", {**MODEL, "block_size": "two"}, 3),
     "fractional sample size": ("model", {**MODEL, "sample_sizes": [2.5]}, 3),
@@ -282,6 +284,30 @@ class TestSearch:
         proc = run_cli("search", "--config", cfg)
         assert proc.returncode == 3
 
+    @pytest.mark.parametrize("fields", [
+        {"num_nodes": "abc"},
+        {"num_nodes": "100"},
+        {"num_nodes": 2.7},
+        {"num_nodes": True},
+        {"block_size": 128.0},
+        {"dsp_budget": None},
+        {"max_pe_rows": 0},
+        {"max_pe_cols": 4.5},
+        {"layers": [{"samples": 2.5, "in_dim": 512, "out_dim": 512}]},
+        {"layers": [{"samples": 25, "in_dim": "512", "out_dim": 512}]},
+        {"layers": [7]},
+        {"layers": "abc"},
+        {"coefficients": {"transform_cycles": 200, "fft_channel_dsp": 10, "pe_dsp_per_pack": 8,
+                          "vpu_lane_dsp": False, "dsp_budget": 500}},
+        {"coefficients": [200, 10, 8, 32, 500]},
+    ], ids=repr)
+    def test_counts_that_are_not_integers_exit_3(self, tmp_path, fields):
+        cfg = tmp_path / "search.json"
+        cfg.write_text(json.dumps({**SEARCH_CONFIG, **fields}))
+        proc = run_cli("search", "--config", cfg)
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestProfile:
     def test_dataset_grid(self, tmp_path):
@@ -294,7 +320,7 @@ class TestProfile:
 
     def test_zero_node_graph_reports_zeros(self, tmp_path):
         report_path = tmp_path / "r.json"
-        run_cli("profile", "--nodes", 0, "--edges", 0,
+        run_cli("profile", "--nodes", 0,
                 "--report", report_path, check=True)
         grid = json.loads(report_path.read_text())["outputs"]["grid"]
         for row in grid:

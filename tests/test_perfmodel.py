@@ -248,6 +248,65 @@ class TestSearch:
                 continue
             assert res.estimate.per_node_cycles <= total_cycles(wl, hw, coeffs).per_node_cycles
 
+    @given(
+        transform_cycles=st.integers(1, 600),
+        beta=st.integers(12, 40),
+        pe_dsp=st.integers(1, 32),
+        lane_dsp=st.integers(40, 80),
+        extra=st.integers(0, 120),
+        log_n=st.integers(1, 4),
+        # few samples and narrow layers, so that transform stages bind and
+        # channel pairs of equal DSP cost tie
+        layers=st.lists(
+            st.tuples(st.integers(1, 6), st.integers(1, 80), st.integers(1, 80)),
+            min_size=1, max_size=2,
+        ),
+        max_rows=st.integers(1, 4),
+        max_cols=st.integers(1, 4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_brute_force_on_key_and_explored(
+        self, transform_cycles, beta, pe_dsp, lane_dsp, extra, log_n, layers, max_rows, max_cols
+    ):
+        n = 1 << log_n
+        budget = 2 * beta + pe_dsp + lane_dsp + extra
+        coeffs = CostCoefficients(transform_cycles, beta, pe_dsp, lane_dsp, budget)
+        wl = WorkloadSpec(7, n, tuple(WorkloadLayer(*l) for l in layers))
+        res = search_optimal(wl, coeffs, max_rows, max_cols)
+        got = (res.estimate.per_node_cycles, res.dsp_usage) + res.best.as_tuple()
+        assert got == brute_force_search(wl, coeffs, max_rows, max_cols)
+        chans = range(1, budget // beta + 1)
+        feasible = sum(
+            beta * (x + y) + r * c * pe_dsp * l + m * lane_dsp <= budget
+            for x, y, r, c, l, m in itertools.product(
+                chans, chans, range(1, max_rows + 1), range(1, max_cols + 1),
+                [1 << k for k in range(log_n + 1)], range(1, budget // lane_dsp + 1),
+            )
+        )
+        assert res.explored == feasible
+
+    def test_equal_cycles_prefer_the_cheaper_channel_pair(self):
+        # (2, 7) channels reach the same cycles as (3, 5) but cost one channel more
+        coeffs = CostCoefficients(520, 16, 26, 41, 217)
+        wl = WorkloadSpec(7, 16, (WorkloadLayer(1, 42, 42), WorkloadLayer(5, 3, 79)))
+        res = search_optimal(wl, coeffs, max_pe_rows=2, max_pe_cols=2)
+        assert res.best.as_tuple() == (3, 5, 1, 1, 1, 1)
+        other = HardwareConfig(2, 7, 1, 1, 1, 1, 16)
+        assert total_cycles(wl, other, coeffs).total_cycles == res.estimate.total_cycles
+        got = (res.estimate.per_node_cycles, res.dsp_usage) + res.best.as_tuple()
+        assert got == brute_force_search(wl, coeffs, 2, 2)
+
+    def test_pe_limits_beyond_the_budget_change_nothing(self):
+        # at 250 DSPs one lane and two channels leave 150 for the array: 9 unit PEs
+        coeffs = CostCoefficients(484, 18, 16, 64, 250)
+        wide = search_optimal(self.WORKLOAD_CR, coeffs, max_pe_rows=200, max_pe_cols=200)
+        assert wide == search_optimal(self.WORKLOAD_CR, coeffs, max_pe_rows=9, max_pe_cols=9)
+
+    @pytest.mark.parametrize("limits", [(0, 32), (32, 0), (-1, -1)])
+    def test_pe_limit_below_one_rejected(self, limits):
+        with pytest.raises(SchemaError, match="max_pe_rows and max_pe_cols"):
+            search_optimal(self.WORKLOAD_CR, COEFFS, *limits)
+
 
 class TestCoefficients:
     def test_defaults_only_calibrated_for_128(self):

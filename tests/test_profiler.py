@@ -124,6 +124,13 @@ class TestIntensityEdgeCases:
         assert prof.bytes_moved == 0
         assert prof.intensity is None
 
+    def test_empty_graph_loads_no_weights(self):
+        # gspool aggregation holds a pooling matrix, but no node means no load
+        prof = profile_phase(Variant.GS_POOL, Phase.AGGREGATION, GraphStats(0, 0, 4, 0), 4, 4, 2)
+        assert prof.flops == prof.matvec_flops == 0
+        assert prof.bytes_moved == 0
+        assert prof.intensity is None
+
 
 class TestCompressedFlops:
     def test_scales_only_the_matvec_share(self):
