@@ -21,10 +21,14 @@ transforms total instead of p * q).  ``bc_matvec`` is the one production
 multiply; ``bc_matvec_per_block`` keeps the unoptimized route alive only as
 the independent oracle of the tests.
 
-Spectra are stored once, frequency-major (``SpectralWeights.bins``, with
-``blocks`` a view of it).  ``bc_matvec`` multiplies one vector or a batch of
-rows: transforms run batched, and each output row is bit-identical whatever
-other rows share the batch.
+A matrix transforms its defining vectors once, on first use, and caches
+the spectra frequency-major (``BlockCirculantMatrix.spectral()``, shape
+(n, q, p)).  ``bc_matvec`` multiplies one vector or a batch of rows:
+transforms run batched, and each output row is bit-identical whatever other
+rows share the batch.
+
+Every size rule on a block size, a pack size or a transform length is
+``require_power_of_two``.
 
 Every transform goes through ``fft``, which runs numpy's pocketfft and
 counts the work in the radix-2 model: ``op_counts()`` exposes transform-call
@@ -69,8 +73,10 @@ def op_counts() -> OpCounts:
     return replace(_counts)
 
 
-def is_power_of_two(k: int) -> bool:
-    return k >= 1 and (k & (k - 1)) == 0
+def require_power_of_two(value: int, least: int, what: str = "block size") -> None:
+    """Raise SchemaError unless ``value`` is a power of two no smaller than ``least`` (>= 1)."""
+    if value < least or value & (value - 1):
+        raise SchemaError(f"{what} must be a power of two >= {least}, got {value}")
 
 
 def fft(x, inverse: bool = False) -> np.ndarray:
@@ -84,8 +90,7 @@ def fft(x, inverse: bool = False) -> np.ndarray:
     """
     a = np.asarray(x, dtype=np.complex128)
     n = a.shape[-1]
-    if not is_power_of_two(n):
-        raise SchemaError(f"transform length must be a power of two, got {n}")
+    require_power_of_two(n, 1, "transform length")
     batch = int(np.prod(a.shape[:-1], dtype=np.int64)) if a.ndim > 1 else 1
     if inverse:
         _counts.ifft_calls += batch
@@ -100,28 +105,6 @@ def _block_counts(rows: int, cols: int, block_size: int) -> tuple[int, int]:
 
 
 @dataclass
-class SpectralWeights:
-    """Frequency-domain form of a block-circulant matrix, ready to multiply."""
-
-    rows: int
-    cols: int
-    block_size: int
-    bins: np.ndarray  # complex, shape (block_size, q, p): bins[f, j, i] is block (i, j) at bin f
-
-    @property
-    def blocks(self) -> np.ndarray:  # writable (p, q, block_size) view
-        return self.bins.transpose(2, 1, 0)
-
-    @property
-    def p(self) -> int:
-        return self.bins.shape[2]
-
-    @property
-    def q(self) -> int:
-        return self.bins.shape[1]
-
-
-@dataclass
 class BlockCirculantMatrix:
     """Compressed rows x cols matrix: one defining vector per n x n block."""
 
@@ -129,15 +112,12 @@ class BlockCirculantMatrix:
     cols: int
     block_size: int
     defining_vectors: np.ndarray  # shape (p, q, block_size)
-    _spectral: SpectralWeights | None = field(default=None, repr=False, compare=False)
+    _spectral: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise SchemaError("matrix dimensions must be positive")
-        if not is_power_of_two(self.block_size) or self.block_size < 2:
-            raise SchemaError(
-                f"block size must be a power of two >= 2, got {self.block_size}"
-            )
+        require_power_of_two(self.block_size, 2)
         self.defining_vectors = np.asarray(self.defining_vectors, dtype=np.float64)
         p, q = _block_counts(self.rows, self.cols, self.block_size)
         if self.defining_vectors.shape != (p, q, self.block_size):
@@ -155,15 +135,11 @@ class BlockCirculantMatrix:
         return self.defining_vectors.shape[1]
 
     @property
-    def storage_reals(self) -> int:
-        """Reals actually stored; n-fold fewer than dense when n divides both dims."""
-        return int(self.defining_vectors.size)
-
-    @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
-    def spectral(self) -> SpectralWeights:
+    def spectral(self) -> np.ndarray:
+        """Cached complex spectra, shape (n, q, p): [f, j, i] is block (i, j) at bin f."""
         if self._spectral is None:
             self._spectral = precompute_spectral(self)
         return self._spectral
@@ -178,23 +154,20 @@ def new_random(rows: int, cols: int, block_size: int, seed: int) -> BlockCircula
     return BlockCirculantMatrix(rows, cols, block_size, vecs)
 
 
-def precompute_spectral(w: BlockCirculantMatrix) -> SpectralWeights:
-    """Transform every defining vector once; p*q transforms, reusable across matvecs."""
-    bins = np.ascontiguousarray(fft(w.defining_vectors).transpose(2, 1, 0))
-    return SpectralWeights(w.rows, w.cols, w.block_size, bins)
+def precompute_spectral(w: BlockCirculantMatrix) -> np.ndarray:
+    """Transform every defining vector once: p*q transforms, laid out frequency-major (n, q, p)."""
+    return np.ascontiguousarray(fft(w.defining_vectors).transpose(2, 1, 0))
 
 
-def _pad_input(weights: SpectralWeights, h) -> np.ndarray:
+def _pad_input(w: BlockCirculantMatrix, h) -> np.ndarray:
     h = np.asarray(h, dtype=np.float64)
-    if h.ndim not in (1, 2) or h.shape[-1] != weights.cols:
-        raise SchemaError(
-            f"input has shape {h.shape}, weight expects ({weights.cols},) or (B, {weights.cols})"
-        )
+    if h.ndim not in (1, 2) or h.shape[-1] != w.cols:
+        raise SchemaError(f"input has shape {h.shape}, weight expects ({w.cols},) or (B, {w.cols})")
     if not np.isfinite(h).all():  # before any transform turns it into a warning
         raise InternalConsistencyError("spectral matvec: non-finite input value")
-    n, q = weights.block_size, weights.q
+    n, q = w.block_size, w.q
     padded = np.zeros(h.shape[:-1] + (q * n,))
-    padded[..., : weights.cols] = h
+    padded[..., : w.cols] = h
     return padded.reshape(h.shape[:-1] + (q, n))
 
 
@@ -208,41 +181,42 @@ def _real_or_raise(values: np.ndarray, context: str) -> np.ndarray:
     return values.real
 
 
-def bc_matvec(weights: SpectralWeights, h) -> np.ndarray:
+def bc_matvec(w: BlockCirculantMatrix, h) -> np.ndarray:
     """Multiply a compressed matrix by a real vector or each row of a (B, cols) batch.
 
     Each input is zero-padded to q*n, transformed once per block column, and
-    the per-block spectral products are summed in the frequency domain, so
-    only one inverse transform runs per block row: B*q forward and B*p
-    inverse transforms in all.  The result is truncated back to ``rows``
-    entries per input.
+    the per-block products with the matrix's cached spectra are summed in
+    the frequency domain, so only one inverse transform runs per block row:
+    B*q forward and B*p inverse transforms in all.  The result is truncated
+    back to ``rows`` entries per input.
     """
     _counts.matvec_calls += 1
-    n, p, q = weights.block_size, weights.p, weights.q
-    spectrum = fft(_pad_input(weights, h))  # (..., q, n)
+    n, p = w.block_size, w.p
+    spectrum = fft(_pad_input(w, h))  # (..., q, n)
     # one (1 x q) @ (q x p) product per (row, bin), never a gemm across rows,
     # whose rounding would depend on which rows share the batch
     by_bin = np.ascontiguousarray(np.swapaxes(spectrum, -1, -2))[..., None, :]
-    acc = np.matmul(by_bin, weights.bins)[..., 0, :]  # (..., n, p)
+    acc = np.matmul(by_bin, w.spectral())[..., 0, :]  # (..., n, p)
     _counts.multiplies += spectrum.size * p
     real = _real_or_raise(fft(np.swapaxes(acc, -1, -2), inverse=True), "bc_matvec")
-    return real.reshape(real.shape[:-2] + (p * n,))[..., : weights.rows]
+    return real.reshape(real.shape[:-2] + (p * n,))[..., : w.rows]
 
 
-def bc_matvec_per_block(weights: SpectralWeights, h) -> np.ndarray:
+def bc_matvec_per_block(w: BlockCirculantMatrix, h) -> np.ndarray:
     """Reference route: inverse-transform every block product, accumulate spatially.
 
-    Runs p*q inverse transforms instead of p.  Kept as the independent side
-    of the spectral-accumulation equivalence check.
+    Reads the matrix's cached spectra block-major, as (p, q, n), and runs
+    p*q inverse transforms instead of p.  Kept as the independent side of
+    the spectral-accumulation equivalence check.
     """
     _counts.matvec_calls += 1
-    n, p, q = weights.block_size, weights.p, weights.q
-    spectrum = fft(_pad_input(weights, h))
-    products = weights.blocks * spectrum[np.newaxis, :, :]
+    n, p, q = w.block_size, w.p, w.q
+    spectrum = fft(_pad_input(w, h))
+    products = w.spectral().transpose(2, 1, 0) * spectrum[np.newaxis, :, :]
     _counts.multiplies += p * q * n
     per_block = fft(products, inverse=True)  # p*q inverse transforms
     out = _real_or_raise(per_block, "bc_matvec_per_block").sum(axis=1)
-    return out.reshape(p * n)[: weights.rows]
+    return out.reshape(p * n)[: w.rows]
 
 
 def to_dense(w: BlockCirculantMatrix) -> np.ndarray:
@@ -266,8 +240,7 @@ def project_to_block_circulant(dense, block_size: int) -> BlockCirculantMatrix:
     if dense.ndim != 2:
         raise SchemaError("projection input must be a matrix")
     rows, cols = dense.shape
-    if not is_power_of_two(block_size) or block_size < 2:
-        raise SchemaError(f"block size must be a power of two >= 2, got {block_size}")
+    require_power_of_two(block_size, 2)
     n = block_size
     p, q = _block_counts(rows, cols, n)
 
@@ -304,10 +277,9 @@ def compression_stats(rows: int, cols: int, block_size: int) -> CompressionStats
     """Ratios for a rows x cols matrix at the given block size (1 = uncompressed)."""
     if rows < 1 or cols < 1:
         raise SchemaError("matrix dimensions must be positive")
+    require_power_of_two(block_size, 1)
     if block_size == 1:
         return CompressionStats(1.0, 1.0, rows * cols, rows * cols)
-    if not is_power_of_two(block_size):
-        raise SchemaError(f"block size must be a power of two, got {block_size}")
     p, q = _block_counts(rows, cols, block_size)
     return CompressionStats(
         theoretical_compute_reduction=block_size / math.log2(block_size),

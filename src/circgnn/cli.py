@@ -22,6 +22,7 @@ from .circulant import (
     BlockCirculantMatrix,
     compression_stats,
     project_to_block_circulant,
+    require_power_of_two,
     to_dense,
 )
 from .errors import CircGnnError, InputParseError, SchemaError
@@ -105,8 +106,7 @@ def _cmd_infer(args) -> RunReport:
 
 def _cmd_compress(args) -> RunReport:
     n = args.block_size
-    if n < 1 or (n > 1 and n & (n - 1)):
-        raise SchemaError("--block-size must be 1 or a power of two")
+    require_power_of_two(n, 1, "--block-size")
     layers = modelio.load_weights(args.weights)
 
     per_matrix = []
@@ -226,11 +226,10 @@ def _cmd_search(args) -> RunReport:
 
 
 def _cmd_profile(args) -> RunReport:
+    require_power_of_two(args.block_size, 1, "--block-size")
+    if args.heads < 1 or args.head_dim < 1:
+        raise SchemaError("--heads and --head-dim must be >= 1")
     if args.dataset is not None:
-        if args.dataset not in DATASET_STATS:
-            raise SchemaError(
-                f"unknown dataset {args.dataset!r}; known: {sorted(DATASET_STATS)}"
-            )
         stats = DATASET_STATS[args.dataset]
     else:
         stats = GraphStats(args.nodes, 0, args.in_dim, 0)
@@ -279,6 +278,10 @@ def _cmd_profile(args) -> RunReport:
     )
 
 
+# Arithmetic intensity (flops per byte) below which a profiled phase is marked memory bound.
+_MEMORY_BOUND_BELOW = 10
+
+
 def _print_summary(report: RunReport) -> None:
     out = report.outputs
     if report.command == "infer":
@@ -323,6 +326,8 @@ def _print_summary(report: RunReport) -> None:
             )
             if "compressed_flops" in row:
                 line += f" compressed {row['compressed_flops']:.3e}"
+            if intensity is not None and intensity < _MEMORY_BOUND_BELOW:
+                line += "  memory bound"
             print(line)
 
 

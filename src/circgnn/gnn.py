@@ -34,7 +34,7 @@ from enum import Enum
 
 import numpy as np
 
-from .circulant import BlockCirculantMatrix, bc_matvec, new_random, to_dense
+from .circulant import BlockCirculantMatrix, bc_matvec, new_random, require_power_of_two, to_dense
 from .errors import SchemaError
 from .graph import Graph, degrees, sample_neighbors
 
@@ -72,7 +72,7 @@ def matvec(weight, x) -> np.ndarray:
     whose rounding would depend on which rows share it.
     """
     if isinstance(weight, BlockCirculantMatrix):
-        return bc_matvec(weight.spectral(), x)
+        return bc_matvec(weight, x)
     weight = np.asarray(weight)
     x = np.asarray(x, dtype=np.float64)
     if weight.ndim != 2 or x.ndim not in (1, 2) or weight.shape[1] != x.shape[-1]:
@@ -112,10 +112,7 @@ class GnnModelConfig:
                 )
         if any(s < 1 for s in self.sample_sizes):
             raise SchemaError("sample sizes must be >= 1")
-        if self.block_size < 1:
-            raise SchemaError("block_size must be >= 1")
-        if self.block_size > 1 and self.block_size & (self.block_size - 1):
-            raise SchemaError("block_size must be a power of two")
+        require_power_of_two(self.block_size, 1)
         if self.variant is Variant.GAT:
             if self.gat_heads < 1 or self.gat_head_dim < 1:
                 raise SchemaError("gat variant needs gat_heads >= 1 and gat_head_dim >= 1")

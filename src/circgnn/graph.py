@@ -89,14 +89,6 @@ class Graph:
             raise IndexError(f"node {v} out of range [0, {self.num_nodes})")
         return int(self.csr_offsets[v + 1] - self.csr_offsets[v])
 
-    def edge_array(self) -> np.ndarray:
-        """All arcs as an (num_edges, 2) array of (src, dst), CSR order."""
-        src = np.repeat(np.arange(self.num_nodes), np.diff(self.csr_offsets))
-        return np.column_stack([src, self.csr_neighbors])
-
-    def stats(self, num_labels: int = 0) -> GraphStats:
-        return GraphStats(self.num_nodes, self.num_edges, self.feature_dim, num_labels)
-
 
 def _build_csr(num_nodes: int, pairs: np.ndarray, features: np.ndarray | None) -> Graph:
     # pairs: (E, 2) deduplicated array of (src, dst)

@@ -42,6 +42,7 @@ from enum import Enum
 
 import numpy as np
 
+from .circulant import require_power_of_two
 from .errors import InfeasibleError, SchemaError
 
 _VPU_SIMD_WIDTH = 16
@@ -63,14 +64,10 @@ class HardwareConfig:
         for name in ("fft_channels", "ifft_channels", "pe_rows", "pe_cols", "vpu_lanes"):
             if getattr(self, name) < 1:
                 raise SchemaError(f"HardwareConfig.{name} must be >= 1")
-        if self.block_size < 2 or self.block_size & (self.block_size - 1):
-            raise SchemaError("block_size must be a power of two >= 2")
-        if (
-            self.pack_size < 1
-            or self.pack_size & (self.pack_size - 1)
-            or self.pack_size > self.block_size
-        ):
-            raise SchemaError("pack_size must be a power of two in [1, block_size]")
+        require_power_of_two(self.block_size, 2)
+        require_power_of_two(self.pack_size, 1, "pack_size")
+        if self.pack_size > self.block_size:
+            raise SchemaError("pack_size must not exceed block_size")
 
     def as_tuple(self) -> tuple[int, int, int, int, int, int]:
         return (
@@ -153,8 +150,7 @@ class WorkloadSpec:
             raise SchemaError("workload num_nodes must be >= 1")
         if not self.layers:
             raise SchemaError("workload needs at least one layer")
-        if self.block_size < 2 or self.block_size & (self.block_size - 1):
-            raise SchemaError("workload block_size must be a power of two >= 2")
+        require_power_of_two(self.block_size, 2, "workload block size")
 
 
 class Stage(str, Enum):

@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+from .circulant import require_power_of_two
 from .errors import SchemaError
 from .gnn import Variant
 from .graph import GraphStats
@@ -135,8 +136,7 @@ def compressed_flops(
     Matvec FLOPs scale by log2(n)/n; non-matvec work is unchanged.
     block_size 1 returns the dense count.
     """
-    if block_size < 1 or (block_size > 1 and block_size & (block_size - 1)):
-        raise SchemaError("block_size must be 1 or a power of two")
+    require_power_of_two(block_size, 1)
     prof = profile_phase(variant, phase, stats, in_dim, out_dim, samples, heads, head_dim)
     if block_size == 1:
         return float(prof.flops)

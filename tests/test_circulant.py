@@ -25,6 +25,7 @@ from circgnn import (
     reset_op_counts,
     to_dense,
 )
+from circgnn.circulant import require_power_of_two
 
 # --- oracles ----------------------------------------------------------------
 
@@ -144,7 +145,7 @@ class TestDenseExpansion:
     def test_block_grid_shape(self):
         w = new_random(512, 512, 128, seed=1)
         assert (w.p, w.q) == (4, 4)
-        assert w.storage_reals == 2048
+        assert w.defining_vectors.size == 2048
         w2 = new_random(100, 70, 32, seed=1)
         assert (w2.p, w2.q) == (4, 3)
 
@@ -161,6 +162,18 @@ class TestDenseExpansion:
     def test_non_power_of_two_block_rejected(self):
         with pytest.raises(SchemaError):
             BlockCirculantMatrix(6, 6, 3, np.zeros((2, 2, 3)))
+
+
+@pytest.mark.parametrize(
+    "value,least,ok",
+    [(1, 1, True), (64, 2, True), (1, 2, False), (0, 1, False), (-8, 1, False), (6, 1, False)],
+)
+def test_require_power_of_two(value, least, ok):
+    if ok:
+        require_power_of_two(value, least)
+    else:
+        with pytest.raises(SchemaError, match=f"block size must be a power of two >= {least}"):
+            require_power_of_two(value, least)
 
 
 class TestNewRandom:
@@ -228,7 +241,7 @@ class TestProjection:
 class TestBcMatvec:
     def test_frozen_two_by_two_example(self):
         w = BlockCirculantMatrix(2, 2, 2, np.array([[[1.0, 2.0]]]))
-        assert np.allclose(bc_matvec(w.spectral(), [3.0, 4.0]), [11.0, 10.0])
+        assert np.allclose(bc_matvec(w, [3.0, 4.0]), [11.0, 10.0])
 
     def test_identity_weight_is_identity(self):
         vecs = np.zeros((2, 2, 4))
@@ -236,14 +249,14 @@ class TestBcMatvec:
         vecs[1, 1, 0] = 1.0
         w = BlockCirculantMatrix(8, 8, 4, vecs)
         x = np.arange(8, dtype=float)
-        assert np.max(np.abs(bc_matvec(w.spectral(), x) - x)) < 1e-12
+        assert np.max(np.abs(bc_matvec(w, x) - x)) < 1e-12
 
     def test_large_divisible_case_vs_dense(self):
         rng = np.random.default_rng(21)
         w = new_random(512, 512, 128, seed=21)
         h = rng.normal(size=512)
         ref = dense_oracle(w.defining_vectors, 512, 512, 128) @ h
-        assert np.max(np.abs(bc_matvec(w.spectral(), h) - ref)) < 1e-9
+        assert np.max(np.abs(bc_matvec(w, h) - ref)) < 1e-9
 
     @pytest.mark.parametrize(
         "rows,cols,n", [(100, 70, 32), (5, 3, 8), (33, 47, 4), (4, 512, 2), (7, 7, 16)]
@@ -253,7 +266,7 @@ class TestBcMatvec:
         w = new_random(rows, cols, n, seed=rows + n)
         h = rng.normal(size=cols)
         ref = dense_oracle(w.defining_vectors, rows, cols, n) @ h
-        assert np.max(np.abs(bc_matvec(w.spectral(), h) - ref)) < 1e-9
+        assert np.max(np.abs(bc_matvec(w, h) - ref)) < 1e-9
 
     @given(
         rows=st.integers(1, 40),
@@ -268,30 +281,28 @@ class TestBcMatvec:
         rng = np.random.default_rng(seed + 1)
         h = rng.normal(size=cols)
         ref = to_dense(w) @ h
-        assert np.max(np.abs(bc_matvec(w.spectral(), h) - ref)) < 1e-9
+        assert np.max(np.abs(bc_matvec(w, h) - ref)) < 1e-9
 
     def test_linearity(self):
         w = new_random(24, 16, 8, seed=3)
-        spec = w.spectral()
         rng = np.random.default_rng(31)
         a, b = rng.normal(size=16), rng.normal(size=16)
-        lhs = bc_matvec(spec, 2.0 * a - 3.0 * b)
-        rhs = 2.0 * bc_matvec(spec, a) - 3.0 * bc_matvec(spec, b)
+        lhs = bc_matvec(w, 2.0 * a - 3.0 * b)
+        rhs = 2.0 * bc_matvec(w, a) - 3.0 * bc_matvec(w, b)
         assert np.max(np.abs(lhs - rhs)) < 1e-9
 
     def test_wrong_input_length_rejected(self):
         w = new_random(8, 8, 4, seed=0)
         with pytest.raises(SchemaError):
-            bc_matvec(w.spectral(), np.zeros(9))
+            bc_matvec(w, np.zeros(9))
 
     def test_corrupted_spectrum_trips_consistency_check(self):
         # breaking conjugate symmetry makes the result complex; the matvec
         # must refuse to silently drop the imaginary part
         w = new_random(8, 8, 8, seed=4)
-        spec = precompute_spectral(w)
-        spec.blocks[0, 0, 1] += 10.0j
+        w.spectral().transpose(2, 1, 0)[0, 0, 1] += 10.0j
         with pytest.raises(InternalConsistencyError):
-            bc_matvec(spec, np.arange(8, dtype=float))
+            bc_matvec(w, np.arange(8, dtype=float))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_input_trips_consistency_check(self, bad):
@@ -299,50 +310,51 @@ class TestBcMatvec:
         h = np.arange(8, dtype=float)
         h[3] = bad
         with pytest.raises(InternalConsistencyError):
-            bc_matvec(w.spectral(), h)
+            bc_matvec(w, h)
 
     def test_spectral_accumulation_equals_per_block_route(self):
         rng = np.random.default_rng(41)
         w = new_random(96, 80, 16, seed=41)
         h = rng.normal(size=80)
-        a = bc_matvec(w.spectral(), h)
-        b = bc_matvec_per_block(w.spectral(), h)
+        a = bc_matvec(w, h)
+        b = bc_matvec_per_block(w, h)
         assert np.max(np.abs(a - b)) < 1e-9
 
     def test_ifft_call_counts_p_vs_pq(self):
         w = new_random(96, 80, 16, seed=42)
-        spec = w.spectral()
+        w.spectral()
         h = np.ones(80)
         reset_op_counts()
-        bc_matvec(spec, h)
-        assert op_counts().ifft_calls == spec.p
+        bc_matvec(w, h)
+        assert op_counts().ifft_calls == w.p
         reset_op_counts()
-        bc_matvec_per_block(spec, h)
-        assert op_counts().ifft_calls == spec.p * spec.q
+        bc_matvec_per_block(w, h)
+        assert op_counts().ifft_calls == w.p * w.q
 
     def test_batch_of_rows_counts_and_rows(self):
         # B rows: B*q forward and B*p inverse transforms in one call, and
         # each row bit-identical to its own single-vector product
         w = new_random(96, 80, 16, seed=43)
-        spec = w.spectral()
+        w.spectral()
         h = np.random.default_rng(43).normal(size=(5, 80))
         reset_op_counts()
-        got = bc_matvec(spec, h)
+        got = bc_matvec(w, h)
         counts = op_counts()
         assert (counts.matvec_calls, counts.fft_calls, counts.ifft_calls) == (
-            1, 5 * spec.q, 5 * spec.p
+            1, 5 * w.q, 5 * w.p
         )
         assert got.shape == (5, 96)
         assert np.max(np.abs(got - h @ to_dense(w).T)) < 1e-9
         for row, x in zip(got, h):
-            assert np.array_equal(row, bc_matvec(spec, x))
+            assert np.array_equal(row, bc_matvec(w, x))
 
     def test_spectra_stored_once_frequency_major(self):
         w = new_random(24, 40, 8, seed=44)
-        spec = w.spectral()
-        assert spec.bins.shape == (8, 5, 3)
-        assert np.shares_memory(spec.blocks, spec.bins)
-        assert np.allclose(spec.blocks, fft(w.defining_vectors), atol=1e-12)
+        bins = w.spectral()
+        assert bins.shape == (8, 5, 3)
+        assert w.spectral() is bins
+        assert np.array_equal(precompute_spectral(w), bins)
+        assert np.allclose(bins.transpose(2, 1, 0), fft(w.defining_vectors), atol=1e-12)
 
 
 # --- compression ratios -------------------------------------------------------
@@ -370,6 +382,6 @@ class TestCompressionStats:
 
     def test_storage_is_exactly_one_over_n_when_divisible(self):
         w = new_random(512, 512, 128, seed=0)
-        assert w.storage_reals * 128 == 512 * 512
+        assert w.defining_vectors.size * 128 == 512 * 512
         stats = compression_stats(512, 512, 128)
         assert stats.stored_reals * 128 == stats.dense_reals

@@ -1,4 +1,4 @@
-"""End-to-end CLI runs through a real subprocess."""
+"""End-to-end CLI runs through a real subprocess, plus one in-process fuzz of the count options."""
 
 import json
 import subprocess
@@ -7,8 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from circgnn import GnnModel, GnnModelConfig, load_weights, random_weights, save_weights
+from circgnn import GnnModel, GnnModelConfig, Variant, load_weights, random_weights, save_weights
+from circgnn.cli import main
 
 DATA = Path(__file__).parent / "data"
 
@@ -343,3 +346,64 @@ class TestProfile:
         grid = json.loads(report_path.read_text())["outputs"]["grid"]
         assert {r["variant"] for r in grid} == {"gcn"}
         assert len(grid) == 2
+
+    def test_memory_bound_mark(self):
+        proc = run_cli("profile", "--dataset", "reddit", check=True)
+        marked = [line.split()[:2] for line in proc.stdout.splitlines() if "memory bound" in line]
+        assert marked == [["gcn", "aggregation"]]
+
+    @pytest.mark.parametrize("args", [
+        ("--variant", "gat", "--heads", "-2"),
+        ("--variant", "gcn", "--heads", "0"),
+        ("--head-dim", "0"),
+        ("--block-size", "0"),
+        ("--block-size", "-8"),
+    ])
+    def test_counts_below_one_exit_3(self, args):
+        proc = run_cli("profile", "--dataset", "cora", *args)
+        assert proc.returncode == 3, proc.stdout
+        assert "Traceback" not in proc.stderr
+
+
+PROFILE_COUNTS = ("--nodes", "--samples", "--in-dim", "--out-dim", "--heads", "--head-dim",
+                  "--block-size")
+
+
+def _count_is_valid(option, value):
+    if option == "--block-size":
+        return value >= 1 and bin(value).count("1") == 1
+    return value >= (0 if option == "--nodes" else 1)
+
+
+@pytest.fixture(scope="module")
+def dense_weights_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "dense.json"
+    cfg = GnnModelConfig("gspool", ((4, 4),), (2,))
+    save_weights(random_weights(cfg, seed=0), path)
+    return path
+
+
+@given(
+    counts=st.dictionaries(st.sampled_from(PROFILE_COUNTS), st.integers(-2**20, 2**20)),
+    variant=st.sampled_from(["all", *(v.value for v in Variant)]),
+    # projection time grows as n^3, so larger sizes only slow the run down
+    block_size=st.integers(-64, 64),
+)
+def test_count_options_exit_0_only_when_every_count_is_valid(
+    dense_weights_file, counts, variant, block_size
+):
+    profile = ["profile", "--variant", variant]
+    for option, value in counts.items():
+        profile += [option, str(value)]
+    compress = ["compress", "--weights", str(dense_weights_file), "--block-size", str(block_size)]
+    runs = [
+        (profile, all(_count_is_valid(o, v) for o, v in counts.items())),
+        (compress, _count_is_valid("--block-size", block_size)),
+    ]
+    for argv, valid in runs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejected the command line
+            assert exc.code == 2, argv
+        else:
+            assert code == (0 if valid else 3), argv

@@ -375,7 +375,8 @@ class TestForward:
         for s in (3, 5, 12):
             cfg = GnnModelConfig("gspool", dims=((8, 8),), sample_sizes=(s,), block_size=4)
             model = GnnModel(cfg, random_weights(cfg, seed=1))
-            pool, comb = model.layers[0].W_pool.spectral(), model.layers[0].W.spectral()
+            pool, comb = model.layers[0].W_pool, model.layers[0].W
+            pool.spectral(), comb.spectral()
             distinct = np.unique(sample_neighbors(g, 0, s, derived_seed(2, 1, 0))).size
             reset_op_counts()
             forward(model, g, [0], seed=2)

