@@ -244,21 +244,11 @@ def project_to_block_circulant(dense, block_size: int) -> BlockCirculantMatrix:
     n = block_size
     p, q = _block_counts(rows, cols, n)
 
-    padded = np.zeros((p * n, q * n))
-    padded[:rows, :cols] = dense
-    valid = np.zeros((p * n, q * n), dtype=bool)
-    valid[:rows, :cols] = True
-    blocks = padded.reshape(p, n, q, n).transpose(0, 2, 1, 3)
-    masks = valid.reshape(p, n, q, n).transpose(0, 2, 1, 3)
-
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    masked = np.where(masks, blocks, 0.0)
-    sums = np.zeros((p, q, n))
-    counts = np.zeros((p, q, n))
-    for k in range(n):
-        on_diag = idx == k
-        sums[:, :, k] = masked[:, :, on_diag].sum(axis=2)
-        counts[:, :, k] = masks[:, :, on_diag].sum(axis=2)
+    # entry (r, c) lies in block (r // n, c // n) on wrapped diagonal (r - c) % n
+    r, c = np.arange(rows)[:, None], np.arange(cols)[None, :]
+    key = ((r // n * q + c // n) * n + (r - c) % n).ravel()
+    sums = np.bincount(key, weights=dense.ravel(), minlength=p * q * n).reshape(p, q, n)
+    counts = np.bincount(key, minlength=p * q * n).reshape(p, q, n)
     vectors = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
     return BlockCirculantMatrix(rows, cols, n, vectors)
 

@@ -74,8 +74,8 @@ def _per_node_costs(
             # neighbor and center gate matvecs per sample, then gate+mix+sum
             return s * 4 * m * m, s * 4 * m, (s + 1) * m, m, 2 * m * m
         if variant is Variant.GAT:
-            if head_dim < 1:
-                raise SchemaError("attention profiling needs head_dim >= 1")
+            if heads < 1 or head_dim < 1:
+                raise SchemaError("attention profiling needs heads >= 1 and head_dim >= 1")
             proj = s * heads * 2 * (2 * head_dim * m)  # both endpoints, per head
             scores = s * heads * (2 * (2 * head_dim) + 1)  # dot products + slope
             softmax = heads * 3 * s

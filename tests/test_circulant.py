@@ -5,6 +5,8 @@ oracle: the transform against a direct O(n^2) DFT, and the spectral
 matvec against plain dense multiplication over a loop-expanded matrix.
 """
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -233,6 +235,28 @@ class TestProjection:
         # bottom-right block has the lone valid entry 8 in class 0
         assert got.defining_vectors[1, 1, 0] == pytest.approx(8.0)
         assert got.defining_vectors[1, 1, 1] == 0.0
+
+    @pytest.mark.parametrize("shape, n", [((5, 7), 4), ((13, 6), 8), ((3, 17), 2), ((9, 9), 16)])
+    def test_ragged_shapes_match_brute_force_diagonal_means(self, shape, n):
+        rng = np.random.default_rng(sum(shape) + n)
+        dense = rng.normal(size=shape)
+        got = project_to_block_circulant(dense, n).defining_vectors
+        want = np.zeros_like(got)
+        for i, j, k in np.ndindex(*want.shape):
+            members = [dense[r, c] for r in range(i * n, min((i + 1) * n, shape[0]))
+                       for c in range(j * n, min((j + 1) * n, shape[1])) if (r - c) % n == k]
+            want[i, j, k] = np.mean(members) if members else 0.0
+        assert np.max(np.abs(got - want)) <= 1e-15
+
+    def test_cost_does_not_grow_with_the_cube_of_the_block_size(self):
+        dense = np.random.default_rng(3).normal(size=(4, 4))
+        started = time.perf_counter()
+        got = project_to_block_circulant(dense, 1024).defining_vectors[0, 0]
+        assert time.perf_counter() - started < 0.5
+        # classes 0..3 are the diagonal and subdiagonals, 1021..1023 the superdiagonals
+        for k in range(-3, 4):
+            assert got[k % 1024] == pytest.approx(np.mean(np.diagonal(dense, -k)), abs=1e-15)
+        assert not got[4:1021].any()
 
 
 # --- the spectral matvec path -------------------------------------------------

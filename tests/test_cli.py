@@ -1,4 +1,7 @@
-"""End-to-end CLI runs through a real subprocess, plus one in-process fuzz of the count options."""
+"""End-to-end CLI runs through a real subprocess.
+
+The count-option fuzz and the overflow cases call ``main`` in process.
+"""
 
 import json
 import subprocess
@@ -10,7 +13,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from circgnn import GnnModel, GnnModelConfig, Variant, load_weights, random_weights, save_weights
+from circgnn import (
+    BlockCirculantMatrix,
+    GnnModel,
+    GnnModelConfig,
+    Variant,
+    load_weights,
+    random_weights,
+    save_model_config,
+    save_weights,
+)
 from circgnn.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -222,6 +234,29 @@ def test_malformed_file_exits_with_documented_code(tmp_path, case):
                    "--features", DATA / "five_nodes_features.csv")
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("block_size", [1, 2], ids=["dense", "compressed"])
+@pytest.mark.parametrize("variant", [v.value for v in Variant])
+def test_overflow_exits_5(tmp_path, capsys, variant, block_size):
+    # features x 1e10 and combination weights x 1e300 overflow layer 0
+    extra = {"gat_heads": 2, "gat_head_dim": 2} if variant == "gat" else {}
+    cfg = GnnModelConfig(variant, ((4, 4), (4, 4)), (2, 2), block_size=block_size, **extra)
+    layers = random_weights(cfg, seed=23)
+    for lw in layers:
+        if block_size == 1:
+            lw.W = lw.W * 1e300
+        else:
+            lw.W = BlockCirculantMatrix(*lw.W.shape, block_size, lw.W.defining_vectors * 1e300)
+    model, weights, feats = tmp_path / "m.json", tmp_path / "w.json", tmp_path / "f.csv"
+    save_model_config(cfg, model)
+    save_weights(layers, weights)
+    np.savetxt(feats, np.loadtxt(DATA / "five_nodes_features.csv", delimiter=",") * 1e10,
+               delimiter=",")
+    code = main(["infer", "--model", str(model), "--weights", str(weights),
+                 "--graph", str(DATA / "five_nodes_edges.txt"), "--features", str(feats)])
+    assert code == 5
+    assert "non-finite" in capsys.readouterr().err
 
 
 SEARCH_CONFIG = {

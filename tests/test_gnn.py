@@ -1,7 +1,9 @@
 """Variant semantics, sampling determinism, compressed-vs-dense agreement."""
 
+import dataclasses
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -9,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circgnn import (
+    BlockCirculantMatrix,
     GnnModel,
     GnnModelConfig,
+    InternalConsistencyError,
     LayerWeights,
     SchemaError,
     Variant,
@@ -33,6 +37,7 @@ from circgnn import (
     to_dense,
     weight_entry,
 )
+from circgnn import gnn
 
 
 class TestActivation:
@@ -47,6 +52,18 @@ class TestActivation:
         assert activation("sigmoid", 0.0) == 0.5
         assert activation("sigmoid", 50.0) == pytest.approx(1.0)
         assert activation("sigmoid", -3.0) == pytest.approx(1 / (1 + np.exp(3.0)))
+
+    def test_sigmoid_does_not_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = activation("sigmoid", [-800.0, 800.0, -np.inf, np.inf, np.nan])
+        assert np.array_equal(got[:4], [0.0, 1.0, 0.0, 1.0])
+        assert np.isnan(got[4])
+
+    def test_sigmoid_equals_the_plain_formula_wherever_that_is_finite(self):
+        edge = -np.log(np.finfo(np.float64).max)  # the last x whose exp(-x) is finite
+        x = np.concatenate([np.linspace(-700.0, 700.0, 20001), [edge, np.nextafter(edge, 0)]])
+        assert np.array_equal(activation("sigmoid", x), 1.0 / (1.0 + np.exp(-x)))
 
     def test_leaky_relu_slope(self):
         assert activation("leaky_relu", -5.0) == pytest.approx(-1.0)
@@ -291,6 +308,37 @@ def _graph_and_config(variant, block_size=8, dims=((16, 16), (16, 16)), samples=
     return g, cfg
 
 
+class TestDenseMatvec:
+    @pytest.mark.parametrize("shape", [(200, 700), (37, 3000), (1433, 1433)])
+    def test_panels_keep_rows_exact(self, shape):
+        rows, cols = shape
+        panel_rows = max(8, gnn._PANEL_BYTES // (8 * cols) // 8 * 8)
+        assert rows > 2 * panel_rows  # the weight spans at least three panels
+        rng = np.random.default_rng(rows)
+        w = rng.uniform(-1, 1, size=shape) / np.sqrt(cols)
+        x = rng.uniform(-1, 1, size=(5, cols))
+        batch = gnn.matvec(w, x)
+        assert batch.shape == (5, rows)
+        assert np.max(np.abs(batch - x @ w.T)) <= 1e-12
+        assert np.array_equal(gnn.matvec(w, x[::-1]), batch[::-1])
+        for i in (0, 3):
+            assert np.array_equal(gnn.matvec(w, x[i]), batch[i])
+            assert np.array_equal(gnn.matvec(w, x[i : i + 1])[0], batch[i])
+
+
+def _overflowing_model(variant, block_size):
+    # features x 1e10 and every combination weight x 1e300: layer 0 overflows
+    g, cfg = _graph_and_config(variant, block_size=block_size)
+    g = dataclasses.replace(g, features=g.features * 1e10)
+    layers = random_weights(cfg, seed=23)
+    for lw in layers:
+        if block_size == 1:
+            lw.W = lw.W * 1e300
+        else:
+            lw.W = BlockCirculantMatrix(*lw.W.shape, block_size, lw.W.defining_vectors * 1e300)
+    return g, GnnModel(cfg, layers)
+
+
 class TestForward:
     @pytest.mark.parametrize("variant", ["gcn", "gspool", "ggcn", "gat"])
     def test_compressed_path_matches_dense_expansion(self, variant):
@@ -385,6 +433,15 @@ class TestForward:
             assert counts.fft_calls == pool.q * distinct + comb.q * 1
             assert counts.ifft_calls == pool.p * distinct + comb.p * 1
         assert distinct < s  # at s = 12 samples repeat, and repeats cost nothing
+
+    @pytest.mark.parametrize("block_size", [1, 4], ids=["dense", "compressed"])
+    @pytest.mark.parametrize("variant", ["gcn", "gspool", "ggcn", "gat"])
+    def test_overflow_raises_instead_of_returning_nan(self, variant, block_size):
+        g, model = _overflowing_model(variant, block_size)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InternalConsistencyError):
+                forward(model, g, list(range(20)), seed=31)
 
     def test_out_of_range_batch_node_rejected(self):
         g, cfg = _graph_and_config("gcn")

@@ -100,6 +100,14 @@ class TestPerNodeFormulas:
         with pytest.raises(SchemaError):
             profile_phase(Variant.GAT, Phase.AGGREGATION, REDDIT, 512, 512, 25)
 
+    @pytest.mark.parametrize("heads", [0, -2])
+    def test_gat_needs_a_head(self, heads):
+        with pytest.raises(SchemaError):
+            profile_phase(Variant.GAT, Phase.AGGREGATION, REDDIT, 512, 512, 25,
+                          heads=heads, head_dim=128)
+        with pytest.raises(SchemaError):
+            profile_grid(REDDIT, 512, 512, 25, heads=heads, head_dim=128)
+
     def test_bad_dims_rejected(self):
         with pytest.raises(SchemaError):
             profile_phase(Variant.GCN, Phase.AGGREGATION, REDDIT, 0, 512, 25)
