@@ -13,7 +13,6 @@ The package has three legs:
 from .circulant import (
     BlockCirculantMatrix,
     bc_matvec,
-    bc_matvec_per_block,
     compression_stats,
     fft,
     new_random,

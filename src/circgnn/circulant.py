@@ -15,17 +15,20 @@ the circular convolution w (*) x, hence
 exactly, which is the identity the whole multiply path rests on.  Storage
 drops by a factor of n; multiplies drop by roughly n / log2(n).
 
-The matvec over the full block matrix accumulates the per-block spectral
-products first and runs a single inverse transform per block row (p inverse
-transforms total instead of p * q).  ``bc_matvec`` is the one production
-multiply; ``bc_matvec_per_block`` keeps the unoptimized route alive only as
-the independent oracle of the tests.
+Weights and inputs are real, so every spectrum is conjugate symmetric and
+its first n/2 + 1 bins determine it: transforms are real-input ones
+(``fft`` returns half spectra and inverts them back to real rows), and the
+products run over those n/2 + 1 bins only.  The matvec over the full block
+matrix accumulates the per-block spectral products first and runs a single
+inverse transform per block row (p inverse transforms total instead of
+p * q).  ``bc_matvec`` is the one multiply; the tests keep an unoptimized
+per-block route over full complex spectra as its independent oracle.
 
 A matrix transforms its defining vectors once, on first use, and caches
-the spectra frequency-major (``BlockCirculantMatrix.spectral()``, shape
-(n, q, p)).  ``bc_matvec`` multiplies one vector or a batch of rows:
-transforms run batched, and each output row is bit-identical whatever other
-rows share the batch.
+the half spectra frequency-major (``BlockCirculantMatrix.spectral()``,
+shape (n/2 + 1, q, p)).  ``bc_matvec`` multiplies one vector or a batch of
+rows: transforms run batched, and each output row is bit-identical whatever
+other rows share the batch.
 
 Every size rule on a block size, a pack size or a transform length is
 ``require_power_of_two``.
@@ -45,10 +48,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InternalConsistencyError, SchemaError
-
-# Relative imaginary residue above which a spectral-path result is rejected.
-_IMAG_TOL = 1e-9
-
 
 @dataclass
 class OpCounts:
@@ -80,24 +79,32 @@ def require_power_of_two(value: int, least: int, what: str = "block size") -> No
 
 
 def fft(x, inverse: bool = False) -> np.ndarray:
-    """Transform along the last axis; lengths must be powers of two.
+    """Real-input transform along the last axis; lengths must be powers of two.
 
-    inverse=True applies the 1/n scale.  Leading axes are treated as a batch
-    and each batch row counts as one transform call.  The work runs on
-    numpy's pocketfft, which transforms every row independently of the
-    others, but the counters charge the radix-2 model: (n/2) log2 n complex
-    multiplies per row.
+    Forward, a real row of length n gives its first n/2 + 1 bins, the half
+    spectrum (``np.fft.rfft``); the other bins are their conjugates.
+    inverse=True takes n/2 + 1 bins (one bin: n = 1) and returns the real
+    length-n row, with the 1/n scale (``np.fft.irfft``).  Leading axes are
+    treated as a batch and each batch row counts as one transform call.  The
+    work runs on numpy's pocketfft, which transforms every row independently
+    of the others, but the counters charge the radix-2 model of a real
+    transform, one n/2-point complex transform plus n/4 split twiddles:
+    (n/4) log2 n complex multiplies per row.
     """
-    a = np.asarray(x, dtype=np.complex128)
-    n = a.shape[-1]
+    if inverse:
+        a = np.asarray(x, dtype=np.complex128)
+        n = 2 * (a.shape[-1] - 1) or 1
+    else:
+        a = np.asarray(x, dtype=np.float64)
+        n = a.shape[-1]
     require_power_of_two(n, 1, "transform length")
     batch = int(np.prod(a.shape[:-1], dtype=np.int64)) if a.ndim > 1 else 1
     if inverse:
         _counts.ifft_calls += batch
     else:
         _counts.fft_calls += batch
-    _counts.multiplies += batch * (n // 2) * (n.bit_length() - 1)
-    return np.fft.ifft(a) if inverse else np.fft.fft(a)
+    _counts.multiplies += batch * (n // 4) * (n.bit_length() - 1)
+    return np.fft.irfft(a, n) if inverse else np.fft.rfft(a)
 
 
 def _block_counts(rows: int, cols: int, block_size: int) -> tuple[int, int]:
@@ -139,7 +146,7 @@ class BlockCirculantMatrix:
         return (self.rows, self.cols)
 
     def spectral(self) -> np.ndarray:
-        """Cached complex spectra, shape (n, q, p): [f, j, i] is block (i, j) at bin f."""
+        """Cached half spectra, shape (n/2 + 1, q, p): [f, j, i] is block (i, j) at bin f."""
         if self._spectral is None:
             self._spectral = precompute_spectral(self)
         return self._spectral
@@ -155,7 +162,7 @@ def new_random(rows: int, cols: int, block_size: int, seed: int) -> BlockCircula
 
 
 def precompute_spectral(w: BlockCirculantMatrix) -> np.ndarray:
-    """Transform every defining vector once: p*q transforms, laid out frequency-major (n, q, p)."""
+    """Transform every defining vector once: p*q transforms, frequency-major (n/2 + 1, q, p)."""
     return np.ascontiguousarray(fft(w.defining_vectors).transpose(2, 1, 0))
 
 
@@ -171,61 +178,33 @@ def _pad_input(w: BlockCirculantMatrix, h) -> np.ndarray:
     return padded.reshape(h.shape[:-1] + (q, n))
 
 
-def _real_or_raise(values: np.ndarray, context: str) -> np.ndarray:
-    bound = _IMAG_TOL * (1.0 + np.abs(values.real))
-    # written so that NaN fails the check instead of slipping through it
-    if not (np.isfinite(values).all() and (np.abs(values.imag) < bound).all()):
-        raise InternalConsistencyError(
-            f"{context}: non-finite result or imaginary residue above {_IMAG_TOL} relative"
-        )
-    return values.real
-
-
 def bc_matvec(w: BlockCirculantMatrix, h) -> np.ndarray:
     """Multiply a compressed matrix by a real vector or each row of a (B, cols) batch.
 
     Each input is zero-padded to q*n, transformed once per block column, and
-    the per-block products with the matrix's cached spectra are summed in
-    the frequency domain, so only one inverse transform runs per block row:
-    B*q forward and B*p inverse transforms in all.  The result is truncated
-    back to ``rows`` entries per input.
+    the per-block products with the matrix's cached half spectra are summed
+    in the frequency domain over the n/2 + 1 bins, so only one inverse
+    transform runs per block row: B*q forward and B*p inverse transforms in
+    all.  The result is truncated back to ``rows`` entries per input.
     """
     _counts.matvec_calls += 1
     n, p = w.block_size, w.p
-    spectrum = fft(_pad_input(w, h))  # (..., q, n)
+    spectrum = fft(_pad_input(w, h))  # (..., q, n/2 + 1)
     # one (1 x q) @ (q x p) product per (row, bin), never a gemm across rows,
     # whose rounding would depend on which rows share the batch
     by_bin = np.ascontiguousarray(np.swapaxes(spectrum, -1, -2))[..., None, :]
-    acc = np.matmul(by_bin, w.spectral())[..., 0, :]  # (..., n, p)
+    acc = np.matmul(by_bin, w.spectral())[..., 0, :]  # (..., n/2 + 1, p)
     _counts.multiplies += spectrum.size * p
-    real = _real_or_raise(fft(np.swapaxes(acc, -1, -2), inverse=True), "bc_matvec")
-    return real.reshape(real.shape[:-2] + (p * n,))[..., : w.rows]
-
-
-def bc_matvec_per_block(w: BlockCirculantMatrix, h) -> np.ndarray:
-    """Reference route: inverse-transform every block product, accumulate spatially.
-
-    Reads the matrix's cached spectra block-major, as (p, q, n), and runs
-    p*q inverse transforms instead of p.  Kept as the independent side of
-    the spectral-accumulation equivalence check.
-    """
-    _counts.matvec_calls += 1
-    n, p, q = w.block_size, w.p, w.q
-    spectrum = fft(_pad_input(w, h))
-    products = w.spectral().transpose(2, 1, 0) * spectrum[np.newaxis, :, :]
-    _counts.multiplies += p * q * n
-    per_block = fft(products, inverse=True)  # p*q inverse transforms
-    out = _real_or_raise(per_block, "bc_matvec_per_block").sum(axis=1)
-    return out.reshape(p * n)[: w.rows]
+    out = fft(np.swapaxes(acc, -1, -2), inverse=True)  # (..., p, n)
+    return out.reshape(out.shape[:-2] + (p * n,))[..., : w.rows]
 
 
 def to_dense(w: BlockCirculantMatrix) -> np.ndarray:
     """Expand to the equivalent dense matrix, dropping padded rows and columns."""
     n = w.block_size
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    blocks = w.defining_vectors[:, :, idx]  # (p, q, n, n)
-    dense = blocks.transpose(0, 2, 1, 3).reshape(w.p * n, w.q * n)
-    return dense[: w.rows, : w.cols]
+    # entry (r, c) lies in block (r // n, c // n) on wrapped diagonal (r - c) % n
+    r, c = np.arange(w.rows)[:, None], np.arange(w.cols)[None, :]
+    return w.defining_vectors[r // n, c // n, (r - c) % n]
 
 
 def project_to_block_circulant(dense, block_size: int) -> BlockCirculantMatrix:

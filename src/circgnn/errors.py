@@ -30,6 +30,6 @@ class InfeasibleError(CircGnnError):
 
 
 class InternalConsistencyError(CircGnnError):
-    """A self-check failed, e.g. non-negligible imaginary residue on a real-valued result."""
+    """A self-check failed, e.g. a layer output that is NaN or inf."""
 
     exit_code = 5

@@ -47,6 +47,9 @@ class Variant(str, Enum):
 
 
 _LEAKY_SLOPE = 0.2
+# Largest sample size a layer may draw: sampling holds that many node IDs per
+# frontier node, and a size near the int64 range cannot even be allocated.
+MAX_SAMPLE_SIZE = 2**16
 # Largest argument whose exp is finite; exp overflows on every double above it.
 _EXP_MAX = np.log(np.finfo(np.float64).max)
 # Bytes of dense weight per panel of ``matvec``: small enough to stay in L2
@@ -128,8 +131,8 @@ class GnnModelConfig:
                 raise SchemaError(
                     f"layer {k}: input dim {din} != previous output {self.dims[k - 1][1]}"
                 )
-        if any(s < 1 for s in self.sample_sizes):
-            raise SchemaError("sample sizes must be >= 1")
+        if any(not 1 <= s <= MAX_SAMPLE_SIZE for s in self.sample_sizes):
+            raise SchemaError(f"sample sizes must lie in [1, {MAX_SAMPLE_SIZE}]")
         require_power_of_two(self.block_size, 1)
         if self.variant is Variant.GAT:
             if self.gat_heads < 1 or self.gat_head_dim < 1:
@@ -157,6 +160,21 @@ class LayerWeights:
     W_C: object = None
     W_att: list | None = None
     a_att: list[np.ndarray] | None = None
+
+    @functools.cached_property
+    def attention_folds(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per head, a_att folded through W_att: (W_att^T a_att[:hd], W_att^T a_att[hd:]).
+
+        A score a_att @ [W_att h_v, W_att h_j] equals h_v @ c + h_j @ e for
+        this pair (c, e), so scoring needs no W_att product per row.  Derived
+        on first use and cached, like a compressed weight's spectra.
+        """
+        folds = []
+        for w_att, a_att in zip(self.W_att, self.a_att):
+            dense = to_dense(w_att) if isinstance(w_att, BlockCirculantMatrix) else w_att
+            hd = a_att.shape[0] // 2
+            folds.append((dense.T @ a_att[:hd], dense.T @ a_att[hd:]))
+        return folds
 
 
 # Slots that hold one entry per attention head, and slots that hold vectors.
@@ -327,15 +345,15 @@ def aggregate_gat(h, idx: np.ndarray, h_v, lw: LayerWeights) -> np.ndarray:
     Scores use projected features, e_s = LeakyRelu(a @ [W_att h_v, W_att h_s]),
     softmax-normalized over the samples; the attention weights then mix the
     raw neighbor features h_s, and each head contributes a vector of the
-    input width.
+    input width.  Each score is computed as h_v @ c + h_s @ e with the
+    head's ``attention_folds``, so no W_att product runs.
     """
     heads = []
-    for w_att, a_att in zip(lw.W_att, lw.a_att):
-        hd = a_att.shape[0] // 2
+    for c, e in lw.attention_folds:
         # per-row products and explicit folds: a gemv or numpy reduction over
         # many rows may sum in an order that depends on their number and layout
-        center = np.matmul(matvec(w_att, h_v)[:, None, :], a_att[:hd])[:, 0]
-        neighbor = np.matmul(matvec(w_att, h)[:, None, :], a_att[hd:])[:, 0]
+        center = np.matmul(h_v[:, None, :], c)[:, 0]
+        neighbor = np.matmul(h[:, None, :], e)[:, 0]
         scores = activation("leaky_relu", center[:, None] + neighbor[idx])
         weights = np.exp(scores - scores.max(axis=1, keepdims=True))
         alpha = weights / _over_samples(np.add, idx, lambda s, col: weights[:, s, None])

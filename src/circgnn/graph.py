@@ -84,11 +84,6 @@ class Graph:
             raise IndexError(f"node {v} out of range [0, {self.num_nodes})")
         return self.csr_neighbors[self.csr_offsets[v] : self.csr_offsets[v + 1]]
 
-    def degree(self, v: int) -> int:
-        if not 0 <= v < self.num_nodes:
-            raise IndexError(f"node {v} out of range [0, {self.num_nodes})")
-        return int(self.csr_offsets[v + 1] - self.csr_offsets[v])
-
 
 def _build_csr(num_nodes: int, pairs: np.ndarray, features: np.ndarray | None) -> Graph:
     # pairs: (E, 2) deduplicated array of (src, dst)
@@ -104,7 +99,7 @@ def _build_csr(num_nodes: int, pairs: np.ndarray, features: np.ndarray | None) -
 def load_edge_list(path, feature_path=None) -> Graph:
     """Load a directed graph from a text edge list, optionally with CSV features.
 
-    Edge-list format: one ``src dst`` pair of non-negative integers per line,
+    Edge-list format: one ``src dst`` pair of integers in [0, 2**63) per line,
     whitespace separated.  Blank lines and lines starting with ``#`` are
     ignored.  Duplicate arcs collapse to one.  Node count is the largest ID
     seen plus one.  The feature file, when given, must hold one CSV row of
@@ -113,7 +108,7 @@ def load_edge_list(path, feature_path=None) -> Graph:
     try:
         with open(path) as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputParseError(f"cannot read edge list {path}: {exc}") from exc
 
     src, dst = [], []
@@ -128,8 +123,8 @@ def load_edge_list(path, feature_path=None) -> Graph:
             s, d = int(tokens[0]), int(tokens[1])
         except ValueError as exc:
             raise InputParseError(f"{path}:{lineno}: non-integer node ID in {text!r}") from exc
-        if s < 0 or d < 0:
-            raise InputParseError(f"{path}:{lineno}: negative node ID in {text!r}")
+        if not (0 <= s < 2**63 and 0 <= d < 2**63):  # IDs are stored as int64
+            raise InputParseError(f"{path}:{lineno}: node ID outside [0, 2**63) in {text!r}")
         src.append(s)
         dst.append(d)
     if not src:
@@ -152,7 +147,7 @@ def _load_feature_csv(path) -> np.ndarray:
     try:
         with open(path) as fh:
             lines = [ln.strip() for ln in fh]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputParseError(f"cannot read features {path}: {exc}") from exc
     rows = []
     width = None

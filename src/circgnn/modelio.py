@@ -26,7 +26,7 @@ def _read_json(path) -> dict:
     try:
         with open(path) as fh:
             return json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputParseError(f"{path}: invalid JSON: {exc}") from exc

@@ -22,7 +22,6 @@ from circgnn import (
     WorkloadLayer,
     WorkloadSpec,
     bc_matvec,
-    bc_matvec_per_block,
     compression_stats,
     cycle_fft,
     cycle_ifft,
@@ -44,6 +43,7 @@ from circgnn import (
 from circgnn.graph import DATASET_STATS
 from circgnn.profiler import Phase, profile_phase
 from circgnn.gnn import Variant
+from spectral_oracle import bc_matvec_per_block
 
 COEFFS = default_coefficients(128)
 CFG_CR = HardwareConfig(18, 7, 6, 4, 1, 1, 128)

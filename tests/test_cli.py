@@ -1,6 +1,7 @@
 """End-to-end CLI runs through a real subprocess.
 
-The count-option fuzz and the overflow cases call ``main`` in process.
+The count-option fuzz, the overflow cases, the input-file fuzz and the
+UTF-8 cases call ``main`` in process.
 """
 
 import json
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circgnn import (
@@ -421,8 +422,7 @@ def dense_weights_file(tmp_path_factory):
 @given(
     counts=st.dictionaries(st.sampled_from(PROFILE_COUNTS), st.integers(-2**20, 2**20)),
     variant=st.sampled_from(["all", *(v.value for v in Variant)]),
-    # projection time grows as n^3, so larger sizes only slow the run down
-    block_size=st.integers(-64, 64),
+    block_size=st.integers(-4096, 4096),
 )
 def test_count_options_exit_0_only_when_every_count_is_valid(
     dense_weights_file, counts, variant, block_size
@@ -442,3 +442,50 @@ def test_count_options_exit_0_only_when_every_count_is_valid(
             assert exc.code == 2, argv
         else:
             assert code == (0 if valid else 3), argv
+
+
+LOADED_FILES = {
+    "--model": DATA / "five_nodes_model.json",
+    "--weights": DATA / "five_nodes_weights.json",
+    "--graph": DATA / "five_nodes_edges.txt",
+    "--features": DATA / "five_nodes_features.csv",
+}
+# What a mutation may insert: separators, signs and digits, non-numbers,
+# JSON atoms and containers, an integer beyond int64 and a byte that is not
+# UTF-8.  Spans are cut before anything is inserted, so no run of digits
+# grows into a size that would allocate gigabytes.
+FRAGMENTS = ("", " ", ",", "\n", "#", ":", "-", ".", "0", "1", "7", "-1", "2.5", "1e400",
+             "nan", "inf", "true", "null", '"x"', "[]", "{}", "[1]", "99999999999999999999",
+             "\xff")
+
+
+def _infer_with(option, path):
+    """In-process ``infer`` on the five-node files, with ``path`` for one of them."""
+    files = {**LOADED_FILES, option: path}
+    return main(["infer"] + [str(a) for option_file in files.items() for a in option_file])
+
+
+@settings(max_examples=100)
+@given(
+    option=st.sampled_from(sorted(LOADED_FILES)),
+    cuts=st.lists(st.tuples(st.floats(0, 1), st.integers(1, 12)), max_size=2),
+    inserts=st.lists(st.tuples(st.floats(0, 1), st.sampled_from(FRAGMENTS)), max_size=3),
+)
+def test_mutated_input_files_exit_with_a_documented_code(tmp_path_factory, option, cuts, inserts):
+    data = LOADED_FILES[option].read_bytes()
+    for where, length in cuts:
+        at = int(where * len(data))
+        data = data[:at] + data[at + length :]
+    for where, fragment in inserts:
+        at = int(where * len(data))
+        data = data[:at] + fragment.encode("latin-1") + data[at:]
+    mutated = tmp_path_factory.getbasetemp() / f"mutated{LOADED_FILES[option].suffix}"
+    mutated.write_bytes(data)
+    assert _infer_with(option, mutated) in (0, 2, 3, 4, 5)
+
+
+@pytest.mark.parametrize("option", sorted(LOADED_FILES))
+def test_file_that_is_not_utf8_exits_2(tmp_path, option):
+    latin1 = tmp_path / "latin1"
+    latin1.write_bytes(b"\xff" + LOADED_FILES[option].read_bytes())
+    assert _infer_with(option, latin1) == 2

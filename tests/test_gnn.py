@@ -38,6 +38,7 @@ from circgnn import (
     weight_entry,
 )
 from circgnn import gnn
+from circgnn.graph import degrees
 
 
 class TestActivation:
@@ -91,8 +92,8 @@ class TestAggregateGcn:
         idx = np.array([[1, 2, 2], [0, 3, 3]])  # repeats allowed, sampling is with replacement
         got = aggregate_gcn(g, h, idx, np.arange(5), v)
         for f in range(2):
-            dv = g.degree(v[f])
-            want = sum(h[u] / np.sqrt(g.degree(u) * dv) for u in idx[f])
+            dv = degrees(g)[v[f]]
+            want = sum(h[u] / np.sqrt(degrees(g)[u] * dv) for u in idx[f])
             assert np.max(np.abs(got[f] - want)) < 1e-12
 
     def test_zero_degree_counts_as_one(self, tmp_path):
@@ -203,6 +204,17 @@ class TestAggregateGat:
         alpha = aggregate_gat(np.eye(4), np.arange(4)[None, :], np.ones((1, 4)), lw)[0]
         assert np.allclose(alpha, 0.25)
 
+    @pytest.mark.parametrize("block_size", [1, 4], ids=["dense", "compressed"])
+    def test_folds_are_the_scoring_vectors_through_w_att(self, block_size):
+        cfg = GnnModelConfig("gat", ((16, 8),), (3,), block_size, gat_heads=3, gat_head_dim=8)
+        lw = random_weights(cfg, seed=8)[0]
+        folds = lw.attention_folds
+        assert len(folds) == 3 and lw.attention_folds is folds  # derived once
+        for (c, e), w_att, a_att in zip(folds, lw.W_att, lw.a_att):
+            dense = to_dense(w_att) if block_size > 1 else w_att
+            assert np.max(np.abs(c - dense.T @ a_att[:8])) <= 1e-12
+            assert np.max(np.abs(e - dense.T @ a_att[8:])) <= 1e-12
+
 
 class TestCombine:
     def test_gspool_concatenates_aggregate_and_self(self):
@@ -239,6 +251,12 @@ class TestWeightValidation:
     def test_block_size_power_of_two(self):
         with pytest.raises(SchemaError):
             GnnModelConfig("gcn", dims=((4, 4),), sample_sizes=(2,), block_size=6)
+
+    def test_sample_sizes_are_capped(self):
+        GnnModelConfig("gcn", dims=((4, 4),), sample_sizes=(gnn.MAX_SAMPLE_SIZE,))
+        for s in (gnn.MAX_SAMPLE_SIZE + 1, 10**20):
+            with pytest.raises(SchemaError, match="sample sizes"):
+                GnnModelConfig("gcn", dims=((4, 4),), sample_sizes=(s,))
 
     def test_gat_requires_head_fields(self):
         with pytest.raises(SchemaError):
@@ -433,6 +451,22 @@ class TestForward:
             assert counts.fft_calls == pool.q * distinct + comb.q * 1
             assert counts.ifft_calls == pool.p * distinct + comb.p * 1
         assert distinct < s  # at s = 12 samples repeat, and repeats cost nothing
+
+    def test_gat_runs_only_the_combination_matvec(self):
+        g, cfg = _graph_and_config("gat", block_size=4)
+        model = GnnModel(cfg, random_weights(cfg, seed=3))
+        reset_op_counts()
+        forward(model, g, [0, 7], seed=2)
+        assert op_counts().matvec_calls == cfg.num_layers  # W only, no W_att
+
+    def test_nan_in_cached_spectra_raises(self):
+        g, cfg = _graph_and_config("gcn", block_size=4)
+        model = GnnModel(cfg, random_weights(cfg, seed=5))
+        model.layers[1].W.spectral()[2, 0, 1] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InternalConsistencyError, match="layer 1"):
+                forward(model, g, [0, 7], seed=2)
 
     @pytest.mark.parametrize("block_size", [1, 4], ids=["dense", "compressed"])
     @pytest.mark.parametrize("variant", ["gcn", "gspool", "ggcn", "gat"])

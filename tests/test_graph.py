@@ -15,6 +15,7 @@ from circgnn import (
     sample_neighbors,
     synthetic_graph,
 )
+from circgnn.graph import degrees
 
 
 def write_edges(tmp_path, text, name="edges.txt"):
@@ -51,6 +52,11 @@ class TestLoader:
         with pytest.raises(InputParseError, match=r"(?:edges\.txt|feats\.csv):2"):
             load_edge_list(path)
 
+    def test_id_beyond_int64_rejected(self, tmp_path):
+        path = write_edges(tmp_path, "0 1\n1 9223372036854775808\n")
+        with pytest.raises(InputParseError, match=r"edges\.txt:2"):
+            load_edge_list(path)
+
     def test_empty_file_rejected(self, tmp_path):
         path = write_edges(tmp_path, "# only a comment\n")
         with pytest.raises(InputParseError):
@@ -64,7 +70,7 @@ class TestLoader:
         path = write_edges(tmp_path, "0 5\n")
         g = load_edge_list(path)
         assert g.num_nodes == 6
-        assert g.degree(3) == 0
+        assert degrees(g)[3] == 0
 
     def test_feature_row_count_mismatch(self, tmp_path):
         edges = write_edges(tmp_path, "0 1\n1 0\n")
@@ -101,7 +107,7 @@ class TestGraphStructure:
     def test_degrees_sum_to_edge_count(self, tmp_path):
         path = write_edges(tmp_path, "0 1\n0 2\n1 2\n2 0\n3 1\n")
         g = load_edge_list(path)
-        assert sum(g.degree(v) for v in range(g.num_nodes)) == g.num_edges
+        assert sum(degrees(g)[v] for v in range(g.num_nodes)) == g.num_edges
 
     def test_stats_dataclass(self, tmp_path):
         path = write_edges(tmp_path, "0 1\n1 0\n")
