@@ -98,7 +98,7 @@ def fft(x, inverse: bool = False) -> np.ndarray:
         a = np.asarray(x, dtype=np.float64)
         n = a.shape[-1]
     require_power_of_two(n, 1, "transform length")
-    batch = int(np.prod(a.shape[:-1], dtype=np.int64)) if a.ndim > 1 else 1
+    batch = a.size // a.shape[-1]
     if inverse:
         _counts.ifft_calls += batch
     else:

@@ -62,13 +62,10 @@ def _parse_batch(spec: str, num_nodes: int) -> list[int]:
         raise InputParseError(f"--batch must be 'all' or comma-separated IDs: {exc}") from exc
     if not batch:
         raise InputParseError("--batch selected no nodes")
-    outside = [v for v in batch if not 0 <= v < num_nodes]
-    if outside:
-        raise SchemaError(f"--batch node {outside[0]} out of range [0, {num_nodes})")
     return batch
 
 
-def _cmd_infer(args) -> RunReport:
+def _cmd_infer(args) -> tuple[dict, dict]:
     config = modelio.load_model_config(args.model)
     layers = modelio.load_weights(args.weights)
     model = GnnModel(config, layers)
@@ -77,34 +74,32 @@ def _cmd_infer(args) -> RunReport:
     out = forward(model, g, batch, seed=args.seed)
     if args.out:
         np.savetxt(args.out, out, delimiter=",")
+    # in node-ID order: a float sum depends on the order of its terms
+    by_node = out[np.argsort(batch, kind="stable")]
     digest = {
-        "mean": out.mean(axis=0).tolist(),
-        "max": out.max(axis=0).tolist(),
+        "mean": by_node.mean(axis=0).tolist(),
+        "max": by_node.max(axis=0).tolist(),
     }
-    return RunReport(
-        command="infer",
-        seed=args.seed,
-        inputs={
-            "model": str(args.model),
-            "weights": str(args.weights),
-            "graph": str(args.graph),
-            "features": None if args.features is None else str(args.features),
-            "batch": args.batch,
-            "variant": config.variant.value,
-            "dims": [list(d) for d in config.dims],
-            "sample_sizes": list(config.sample_sizes),
-        },
-        outputs={
-            "batch_size": len(batch),
-            "output_dim": int(out.shape[1]),
-            "digest": digest,
-            "out_csv": None if not args.out else str(args.out),
-        },
-        wall_time_s=0.0,
-    )
+    inputs = {
+        "model": str(args.model),
+        "weights": str(args.weights),
+        "graph": str(args.graph),
+        "features": str(args.features),
+        "batch": args.batch,
+        "variant": config.variant.value,
+        "dims": [list(d) for d in config.dims],
+        "sample_sizes": list(config.sample_sizes),
+    }
+    outputs = {
+        "batch_size": len(batch),
+        "output_dim": int(out.shape[1]),
+        "digest": digest,
+        "out_csv": None if not args.out else str(args.out),
+    }
+    return inputs, outputs
 
 
-def _cmd_compress(args) -> RunReport:
+def _cmd_compress(args) -> tuple[dict, dict]:
     n = args.block_size
     require_power_of_two(n, 1, "--block-size")
     layers = modelio.load_weights(args.weights)
@@ -142,14 +137,9 @@ def _cmd_compress(args) -> RunReport:
 
     if args.out:
         modelio.save_weights(layers, args.out)
-    return RunReport(
-        command="compress",
-        seed=args.seed,
-        inputs={"weights": str(args.weights), "block_size": n,
-                "out": None if not args.out else str(args.out)},
-        outputs={"per_matrix": per_matrix},
-        wall_time_s=0.0,
-    )
+    inputs = {"weights": str(args.weights), "block_size": n,
+              "out": None if not args.out else str(args.out)}
+    return inputs, {"per_matrix": per_matrix}
 
 
 def _load_search_config(path) -> tuple[WorkloadSpec, CostCoefficients, int, int]:
@@ -176,56 +166,53 @@ def _load_search_config(path) -> tuple[WorkloadSpec, CostCoefficients, int, int]
     layers = tuple(counts(WorkloadLayer, l) for l in doc["layers"])
     workload = WorkloadSpec(count(doc, "num_nodes"), count(doc, "block_size"), layers)
     if "coefficients" in doc:
+        if "dsp_budget" in doc:
+            raise SchemaError(f"{path}: give dsp_budget once, inside coefficients")
         coeffs = counts(CostCoefficients, doc["coefficients"])
     else:
         coeffs = default_coefficients(workload.block_size, count(doc, "dsp_budget", 900))
     return workload, coeffs, count(doc, "max_pe_rows", 32), count(doc, "max_pe_cols", 32)
 
 
-def _cmd_search(args) -> RunReport:
+def _cmd_search(args) -> tuple[dict, dict]:
     workload, coeffs, max_r, max_c = _load_search_config(args.config)
     started = time.perf_counter()
     result = search_optimal(workload, coeffs, max_r, max_c)
     search_seconds = time.perf_counter() - started
-    best = result.best
-    return RunReport(
-        command="search",
-        seed=args.seed,
-        inputs={
-            "config": str(args.config),
-            "num_nodes": workload.num_nodes,
-            "block_size": workload.block_size,
-            "layers": [asdict(l) for l in workload.layers],
-            "coefficients": asdict(coeffs),
-            "max_pe_rows": max_r,
-            "max_pe_cols": max_c,
-        },
-        outputs={
-            "best": asdict(best),
-            "dsp_usage": result.dsp_usage,
-            "dsp_budget": coeffs.dsp_budget,
-            "dsp_utilization": result.dsp_usage / coeffs.dsp_budget,
-            "total_cycles": result.estimate.total_cycles,
-            "per_node_cycles": result.estimate.per_node_cycles,
-            "layers": [
-                {
-                    "fft_cycles": lc.fft_cycles,
-                    "mac_cycles": lc.mac_cycles,
-                    "ifft_cycles": lc.ifft_cycles,
-                    "vpu_cycles": lc.vpu_cycles,
-                    "peak_cycles": lc.peak_cycles,
-                    "bottleneck": lc.bottleneck.value,
-                }
-                for lc in result.estimate.layers
-            ],
-            "explored": result.explored,
-            "search_seconds": search_seconds,
-        },
-        wall_time_s=0.0,
-    )
+    inputs = {
+        "config": str(args.config),
+        "num_nodes": workload.num_nodes,
+        "block_size": workload.block_size,
+        "layers": [asdict(l) for l in workload.layers],
+        "coefficients": asdict(coeffs),
+        "max_pe_rows": max_r,
+        "max_pe_cols": max_c,
+    }
+    outputs = {
+        "best": asdict(result.best),
+        "dsp_usage": result.dsp_usage,
+        "dsp_budget": coeffs.dsp_budget,
+        "dsp_utilization": result.dsp_usage / coeffs.dsp_budget,
+        "total_cycles": result.estimate.total_cycles,
+        "per_node_cycles": result.estimate.per_node_cycles,
+        "layers": [
+            {
+                "fft_cycles": lc.fft_cycles,
+                "mac_cycles": lc.mac_cycles,
+                "ifft_cycles": lc.ifft_cycles,
+                "vpu_cycles": lc.vpu_cycles,
+                "peak_cycles": lc.peak_cycles,
+                "bottleneck": lc.bottleneck.value,
+            }
+            for lc in result.estimate.layers
+        ],
+        "explored": result.explored,
+        "search_seconds": search_seconds,
+    }
+    return inputs, outputs
 
 
-def _cmd_profile(args) -> RunReport:
+def _cmd_profile(args) -> tuple[dict, dict]:
     require_power_of_two(args.block_size, 1, "--block-size")
     if args.heads < 1 or args.head_dim < 1:
         raise SchemaError("--heads and --head-dim must be >= 1")
@@ -259,23 +246,18 @@ def _cmd_profile(args) -> RunReport:
                 args.block_size, heads=args.heads, head_dim=args.head_dim,
             )
         grid_rows.append(row)
-    return RunReport(
-        command="profile",
-        seed=args.seed,
-        inputs={
-            "dataset": args.dataset,
-            "num_nodes": stats.num_nodes,
-            "in_dim": args.in_dim,
-            "out_dim": args.out_dim,
-            "samples": args.samples,
-            "heads": args.heads,
-            "head_dim": args.head_dim,
-            "block_size": args.block_size,
-            "variant": args.variant,
-        },
-        outputs={"grid": grid_rows},
-        wall_time_s=0.0,
-    )
+    inputs = {
+        "dataset": args.dataset,
+        "num_nodes": stats.num_nodes,
+        "in_dim": args.in_dim,
+        "out_dim": args.out_dim,
+        "samples": args.samples,
+        "heads": args.heads,
+        "head_dim": args.head_dim,
+        "block_size": args.block_size,
+        "variant": args.variant,
+    }
+    return inputs, {"grid": grid_rows}
 
 
 # Arithmetic intensity (flops per byte) below which a profiled phase is marked memory bound.
@@ -343,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--weights", required=True)
     p.add_argument("--graph", required=True)
-    p.add_argument("--features", default=None)
+    p.add_argument("--features", required=True)
     p.add_argument("--batch", default="all")
     p.add_argument("--out", default=None, help="write batch outputs as CSV")
     p.set_defaults(func=_cmd_infer)
@@ -378,11 +360,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        report: RunReport = args.func(args)
+        inputs, outputs = args.func(args)
     except CircGnnError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    report.wall_time_s = time.perf_counter() - started
+    report = RunReport(args.command, args.seed, inputs, outputs, time.perf_counter() - started)
     _print_summary(report)
     if args.report:
         with open(args.report, "w") as fh:

@@ -21,7 +21,8 @@ Which weights a layer holds is decided in one place, ``weight_shapes``;
 validation, random initialisation, densification, serialization and the
 CLI's compression all walk a layer's weights through it and ``map_slots``.
 Any weight matrix, the attention projections included, may be dense or
-block-circulant; bias and attention scoring vectors are always dense.
+block-circulant at the config's block size; bias and attention scoring
+vectors are always dense.
 Weight multiplies dispatch on type: a numpy array multiplies densely, a
 BlockCirculantMatrix goes through the spectral path.
 """
@@ -108,7 +109,7 @@ class GnnModelConfig:
     variant: Variant
     dims: tuple[tuple[int, int], ...]
     sample_sizes: tuple[int, ...]
-    block_size: int = 1  # 1 means dense weights
+    block_size: int = 1  # of every block-circulant weight; dense weights are legal at any
     gat_heads: int = 1
     gat_head_dim: int = 0
 
@@ -222,7 +223,10 @@ def map_slots(slots, fn) -> dict:
 
 
 def validate_layer_weights(config: GnnModelConfig, layer: int, lw: LayerWeights) -> None:
-    """Check that one layer holds exactly the slots and shapes the variant implies."""
+    """Check that one layer holds exactly the slots and shapes the variant implies.
+
+    A block-circulant weight must also have the config's block size.
+    """
     shapes = weight_shapes(config, layer)
     filled = {f.name for f in fields(LayerWeights) if getattr(lw, f.name) is not None}
     if filled != set(shapes):
@@ -239,6 +243,11 @@ def validate_layer_weights(config: GnnModelConfig, layer: int, lw: LayerWeights)
         if tuple(got) != shapes[slot]:
             raise SchemaError(
                 f"layer {layer}: weight {label} has shape {tuple(got)}, expected {shapes[slot]}"
+            )
+        if isinstance(w, BlockCirculantMatrix) and w.block_size != config.block_size:
+            raise SchemaError(
+                f"layer {layer}: weight {label} has block size {w.block_size}, "
+                f"the model config says {config.block_size}"
             )
 
     map_slots(vars(lw), check)
@@ -395,9 +404,13 @@ def forward(model: GnnModel, g: Graph, batch, seed: int) -> np.ndarray:
         raise SchemaError(
             f"graph features have dim {g.feature_dim}, model expects {cfg.dims[0][0]}"
         )
-    batch = np.asarray(batch, dtype=np.int64).reshape(-1)
-    if batch.size == 0 or batch.min() < 0 or batch.max() >= g.num_nodes:
-        raise SchemaError(f"batch must be nonempty, with nodes in [0, {g.num_nodes})")
+    batch = np.asarray(batch).reshape(-1)  # IDs beyond int64 stay Python ints until checked
+    if batch.size == 0:
+        raise SchemaError("batch must be nonempty")
+    inside = ((batch >= 0) & (batch < g.num_nodes)).astype(bool)
+    if not inside.all():
+        raise SchemaError(f"batch node {batch[~inside][0]} out of range [0, {g.num_nodes})")
+    batch = batch.astype(np.int64)
 
     # frontier[k]: sorted nodes whose layer-k output is needed; samples[k]
     # holds the layer-(k + 1) samples of frontier[k + 1], one row per node

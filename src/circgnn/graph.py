@@ -86,9 +86,7 @@ class Graph:
 
 
 def _build_csr(num_nodes: int, pairs: np.ndarray, features: np.ndarray | None) -> Graph:
-    # pairs: (E, 2) deduplicated array of (src, dst)
-    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-    pairs = pairs[order]
+    # pairs: (E, 2) array of distinct (src, dst), sorted by src and then dst
     counts = np.bincount(pairs[:, 0], minlength=num_nodes)
     offsets = np.concatenate([[0], np.cumsum(counts)])
     if features is None:

@@ -81,12 +81,7 @@ def weight_entry(weight) -> dict:
         }
     arr = np.asarray(weight, dtype=np.float64)
     if arr.ndim == 1:
-        return {
-            "rows": int(arr.shape[0]),
-            "cols": 1,
-            "block_size": 1,
-            "defining_vectors": arr.tolist(),
-        }
+        arr = arr[:, None]
     if arr.ndim != 2:
         raise SchemaError(f"cannot serialize weight of ndim {arr.ndim}")
     return {

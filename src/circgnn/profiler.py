@@ -89,15 +89,6 @@ def _per_node_costs(
     raise SchemaError(f"unknown phase {phase}")
 
 
-def _whole_graph(stats: GraphStats, per_node, weight_reals: int):
-    matvec, other, feat, out = per_node
-    v = stats.num_nodes
-    flops = v * (matvec + other)
-    weights = weight_reals if v > 0 else 0
-    bytes_moved = (v * (feat + out) + weights) * _BYTES_PER_REAL
-    return v * matvec, flops, bytes_moved
-
-
 def profile_phase(
     variant: Variant,
     phase: Phase,
@@ -115,9 +106,11 @@ def profile_phase(
     mv, other, feat, out, wr = _per_node_costs(
         variant, phase, in_dim, out_dim, samples, heads, head_dim
     )
-    matvec_flops, flops, bytes_moved = _whole_graph(stats, (mv, other, feat, out), wr)
+    v = stats.num_nodes
+    flops = v * (mv + other)
+    bytes_moved = (v * (feat + out) + (wr if v > 0 else 0)) * _BYTES_PER_REAL
     intensity = flops / bytes_moved if bytes_moved > 0 else None
-    return PhaseProfile(flops, matvec_flops, bytes_moved, intensity)
+    return PhaseProfile(flops, v * mv, bytes_moved, intensity)
 
 
 def compressed_flops(

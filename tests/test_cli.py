@@ -4,6 +4,7 @@ The count-option fuzz, the overflow cases, the input-file fuzz and the
 UTF-8 cases call ``main`` in process.
 """
 
+import itertools
 import json
 import subprocess
 import sys
@@ -105,12 +106,35 @@ class TestInfer:
         assert "99 out of range" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("batch", ["-1", "0,18446744073709551616", "-99999999999999999999"])
+    def test_negative_or_huge_batch_node_exits_3(self, tmp_path, capsys, batch):
+        assert main([str(a) for a in infer_args(tmp_path / "r.json")] + [f"--batch={batch}"]) == 3
+        assert f"node {batch.split(',')[-1]} out of range" in capsys.readouterr().err
+
+    def test_digest_is_the_same_in_every_batch_order(self, tmp_path):
+        digests = set()
+        for order in itertools.permutations(range(5)):
+            report_path = tmp_path / "r.json"
+            extra = ["--batch", ",".join(map(str, order))]
+            assert main([str(a) for a in infer_args(report_path, extra=extra)]) == 0
+            digests.add(json.dumps(json.loads(report_path.read_text())["outputs"]["digest"]))
+        assert len(digests) == 1
+
+    def test_infer_without_features_is_a_usage_error(self, tmp_path):
+        args = [str(a) for a in infer_args(tmp_path / "r.json")]
+        at = args.index("--features")
+        with pytest.raises(SystemExit) as exc:
+            main(args[:at] + args[at + 2 :])
+        assert exc.value.code == 2
+        assert not (tmp_path / "r.json").exists()
+
     def test_missing_graph_exits_2(self, tmp_path):
         proc = run_cli(
             "infer",
             "--model", DATA / "five_nodes_model.json",
             "--weights", DATA / "five_nodes_weights.json",
             "--graph", tmp_path / "missing.txt",
+            "--features", DATA / "five_nodes_features.csv",
         )
         assert proc.returncode == 2
         assert "error:" in proc.stderr
@@ -123,6 +147,7 @@ class TestInfer:
             "--model", DATA / "five_nodes_model.json",
             "--weights", DATA / "five_nodes_weights.json",
             "--graph", bad,
+            "--features", DATA / "five_nodes_features.csv",
         )
         assert proc.returncode == 2
         assert ":2" in proc.stderr
@@ -221,6 +246,9 @@ MALFORMED = {
     "text block size": ("model", {**MODEL, "block_size": "two"}, 3),
     "fractional sample size": ("model", {**MODEL, "sample_sizes": [2.5]}, 3),
     "fractional dims": ("model", {**MODEL, "dims": [[4.0, 4]]}, 3),
+    "dense block size for n=2 weights": ("model", {**MODEL, "block_size": 1}, 3),
+    "block size 1024 for n=2 weights": ("model", {**MODEL, "block_size": 1024}, 3),
+    "block size 2**64 for n=2 weights": ("model", {**MODEL, "block_size": 2**64}, 3),
 }
 
 
@@ -316,6 +344,22 @@ class TestSearch:
         cfg.write_text(json.dumps({**SEARCH_CONFIG, "block_size": 64}))
         proc = run_cli("search", "--config", cfg)
         assert proc.returncode == 3
+
+    @pytest.mark.parametrize("budget", ["abc", 1400])
+    def test_budget_beside_coefficients_exits_3(self, tmp_path, budget):
+        cfg = tmp_path / "search.json"
+        cfg.write_text(json.dumps({
+            **SEARCH_CONFIG,
+            "dsp_budget": budget,
+            "coefficients": {
+                "transform_cycles": 200, "fft_channel_dsp": 10,
+                "pe_dsp_per_pack": 8, "vpu_lane_dsp": 32, "dsp_budget": 250,
+            },
+        }))
+        proc = run_cli("search", "--config", cfg)
+        assert proc.returncode == 3, proc.stderr
+        assert "dsp_budget" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_missing_config_field_exits_3(self, tmp_path):
         cfg = tmp_path / "search.json"

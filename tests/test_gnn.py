@@ -284,6 +284,10 @@ class TestWeightValidation:
             )
             GnnModel(cfg, random_weights(cfg, seed=11))  # must not raise
 
+    def test_dense_weights_validate_at_any_block_size(self):
+        cfg = GnnModelConfig("ggcn", dims=((32, 16),), sample_sizes=(2,), block_size=16)
+        GnnModel(cfg, densify_weights(random_weights(cfg, seed=11)))  # must not raise
+
     def test_slot_the_variant_lacks_rejected(self):
         cfg = GnnModelConfig("gcn", dims=((4, 4),), sample_sizes=(2,))
         with pytest.raises(SchemaError, match="W_H"):
