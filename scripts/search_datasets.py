@@ -18,6 +18,7 @@ from circgnn import (
     search_optimal,
     total_cycles,
 )
+from circgnn.perfmodel import DSP_BUDGET
 
 REFERENCE = {
     "cora": (18, 7, 6, 4, 1, 1),
@@ -37,7 +38,7 @@ def workload(name: str, hidden: int, samples) -> WorkloadSpec:
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--budget", type=int, default=900)
+    ap.add_argument("--budget", type=int, default=DSP_BUDGET)
     ap.add_argument("--hidden", type=int, default=512)
     ap.add_argument("--samples", type=int, nargs="+", default=[25, 10])
     args = ap.parse_args()

@@ -107,7 +107,8 @@ def fft(x, inverse: bool = False) -> np.ndarray:
     return np.fft.irfft(a, n) if inverse else np.fft.rfft(a)
 
 
-def _block_counts(rows: int, cols: int, block_size: int) -> tuple[int, int]:
+def block_counts(rows: int, cols: int, block_size: int) -> tuple[int, int]:
+    """(p, q): block rows and block columns of a rows x cols matrix, ragged edges padded."""
     return -(-rows // block_size), -(-cols // block_size)
 
 
@@ -126,7 +127,7 @@ class BlockCirculantMatrix:
             raise SchemaError("matrix dimensions must be positive")
         require_power_of_two(self.block_size, 2)
         self.defining_vectors = np.asarray(self.defining_vectors, dtype=np.float64)
-        p, q = _block_counts(self.rows, self.cols, self.block_size)
+        p, q = block_counts(self.rows, self.cols, self.block_size)
         if self.defining_vectors.shape != (p, q, self.block_size):
             raise SchemaError(
                 f"defining vectors must have shape {(p, q, self.block_size)}, "
@@ -154,7 +155,7 @@ class BlockCirculantMatrix:
 
 def new_random(rows: int, cols: int, block_size: int, seed: int) -> BlockCirculantMatrix:
     """Random compressed matrix with entries uniform in [-1/sqrt(cols), 1/sqrt(cols)]."""
-    p, q = _block_counts(rows, cols, block_size)
+    p, q = block_counts(rows, cols, block_size)
     rng = np.random.default_rng(seed)
     bound = 1.0 / math.sqrt(cols)
     vecs = rng.uniform(-bound, bound, size=(p, q, block_size))
@@ -221,7 +222,7 @@ def project_to_block_circulant(dense, block_size: int) -> BlockCirculantMatrix:
     rows, cols = dense.shape
     require_power_of_two(block_size, 2)
     n = block_size
-    p, q = _block_counts(rows, cols, n)
+    p, q = block_counts(rows, cols, n)
 
     # entry (r, c) lies in block (r // n, c // n) on wrapped diagonal (r - c) % n
     r, c = np.arange(rows)[:, None], np.arange(cols)[None, :]
@@ -236,7 +237,7 @@ def project_to_block_circulant(dense, block_size: int) -> BlockCirculantMatrix:
 class CompressionStats:
     """Theoretical compression and speedup ratios for one weight matrix."""
 
-    theoretical_compute_reduction: float  # n / log2(n)
+    theoretical_compute_reduction: float  # n / log2(n); 1 at n = 1 (uncompressed)
     storage_reduction: float  # n
     dense_reals: int
     stored_reals: int
@@ -247,11 +248,9 @@ def compression_stats(rows: int, cols: int, block_size: int) -> CompressionStats
     if rows < 1 or cols < 1:
         raise SchemaError("matrix dimensions must be positive")
     require_power_of_two(block_size, 1)
-    if block_size == 1:
-        return CompressionStats(1.0, 1.0, rows * cols, rows * cols)
-    p, q = _block_counts(rows, cols, block_size)
+    p, q = block_counts(rows, cols, block_size)
     return CompressionStats(
-        theoretical_compute_reduction=block_size / math.log2(block_size),
+        theoretical_compute_reduction=block_size / max(math.log2(block_size), 1.0),
         storage_reduction=float(block_size),
         dense_reals=rows * cols,
         stored_reals=p * q * block_size,

@@ -29,11 +29,12 @@ from .errors import CircGnnError, InputParseError, SchemaError
 from .gnn import VECTOR_SLOTS, GnnModel, LayerWeights, Variant, forward, map_slots
 from .graph import DATASET_STATS, GraphStats, load_edge_list
 from .perfmodel import (
+    DSP_BUDGET,
+    PE_LIMIT,
     CostCoefficients,
     WorkloadLayer,
     WorkloadSpec,
     default_coefficients,
-    dsp_usage,
     search_optimal,
 )
 from .profiler import compressed_flops, profile_grid
@@ -170,8 +171,9 @@ def _load_search_config(path) -> tuple[WorkloadSpec, CostCoefficients, int, int]
             raise SchemaError(f"{path}: give dsp_budget once, inside coefficients")
         coeffs = counts(CostCoefficients, doc["coefficients"])
     else:
-        coeffs = default_coefficients(workload.block_size, count(doc, "dsp_budget", 900))
-    return workload, coeffs, count(doc, "max_pe_rows", 32), count(doc, "max_pe_cols", 32)
+        coeffs = default_coefficients(workload.block_size, count(doc, "dsp_budget", DSP_BUDGET))
+    return (workload, coeffs, count(doc, "max_pe_rows", PE_LIMIT),
+            count(doc, "max_pe_cols", PE_LIMIT))
 
 
 def _cmd_search(args) -> tuple[dict, dict]:
@@ -181,9 +183,7 @@ def _cmd_search(args) -> tuple[dict, dict]:
     search_seconds = time.perf_counter() - started
     inputs = {
         "config": str(args.config),
-        "num_nodes": workload.num_nodes,
-        "block_size": workload.block_size,
-        "layers": [asdict(l) for l in workload.layers],
+        **asdict(workload),  # num_nodes, block_size, layers
         "coefficients": asdict(coeffs),
         "max_pe_rows": max_r,
         "max_pe_cols": max_c,
@@ -196,15 +196,7 @@ def _cmd_search(args) -> tuple[dict, dict]:
         "total_cycles": result.estimate.total_cycles,
         "per_node_cycles": result.estimate.per_node_cycles,
         "layers": [
-            {
-                "fft_cycles": lc.fft_cycles,
-                "mac_cycles": lc.mac_cycles,
-                "ifft_cycles": lc.ifft_cycles,
-                "vpu_cycles": lc.vpu_cycles,
-                "peak_cycles": lc.peak_cycles,
-                "bottleneck": lc.bottleneck.value,
-            }
-            for lc in result.estimate.layers
+            {**asdict(lc), "bottleneck": lc.bottleneck.value} for lc in result.estimate.layers
         ],
         "explored": result.explored,
         "search_seconds": search_seconds,
@@ -232,14 +224,7 @@ def _cmd_profile(args) -> tuple[dict, dict]:
     )
     grid_rows = []
     for (v, ph), prof in grid.items():
-        row = {
-            "variant": v.value,
-            "phase": ph.value,
-            "flops": prof.flops,
-            "matvec_flops": prof.matvec_flops,
-            "bytes_moved": prof.bytes_moved,
-            "intensity": prof.intensity,
-        }
+        row = {"variant": v.value, "phase": ph.value, **asdict(prof)}
         if args.block_size > 1:
             row["compressed_flops"] = compressed_flops(
                 v, ph, stats, args.in_dim, args.out_dim, args.samples,
@@ -356,8 +341,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a separate value such as "-1,2" as an option; "--batch=-1,2" it does not
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] == "--batch":
+            argv[i:i + 2] = [f"--batch={argv[i + 1]}"]
+    args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
         inputs, outputs = args.func(args)

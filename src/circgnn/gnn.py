@@ -51,8 +51,6 @@ _LEAKY_SLOPE = 0.2
 # Largest sample size a layer may draw: sampling holds that many node IDs per
 # frontier node, and a size near the int64 range cannot even be allocated.
 MAX_SAMPLE_SIZE = 2**16
-# Largest argument whose exp is finite; exp overflows on every double above it.
-_EXP_MAX = np.log(np.finfo(np.float64).max)
 # Bytes of dense weight per panel of ``matvec``: small enough to stay in L2
 # while every row of the batch streams through it.
 _PANEL_BYTES = 512 * 1024
@@ -66,11 +64,8 @@ def activation(kind: str, x):
     if kind == "elu":
         return np.where(x > 0, x, np.expm1(x))
     if kind == "sigmoid":
-        # 1/(1 + exp(-x)), with the exp that would overflow written as inf
-        # instead of computed; NaN still propagates
-        e = np.full_like(x, np.inf)
-        np.exp(-x, out=e, where=~(x < -_EXP_MAX))
-        return 1.0 / (1.0 + e)
+        with np.errstate(over="ignore"):  # exp(-x) = inf gives the exact limit 0
+            return 1.0 / (1.0 + np.exp(-x))
     if kind == "leaky_relu":
         return np.where(x > 0, x, _LEAKY_SLOPE * x)
     raise SchemaError(f"unknown activation {kind!r}")

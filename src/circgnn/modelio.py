@@ -17,7 +17,7 @@ import json
 
 import numpy as np
 
-from .circulant import BlockCirculantMatrix, _block_counts
+from .circulant import BlockCirculantMatrix, block_counts
 from .errors import InputParseError, SchemaError
 from .gnn import VECTOR_SLOTS, GnnModelConfig, LayerWeights, Variant, map_slots
 
@@ -135,7 +135,7 @@ def parse_weight_entry(doc: dict, context: str, as_vector: bool = False):
         return dense
     if as_vector:
         raise SchemaError(f"{context}: vectors must be stored dense (block_size 1)")
-    p, q = _block_counts(rows, cols, n)
+    p, q = block_counts(rows, cols, n)
     if flat.size != p * q * n:
         raise SchemaError(
             f"{context}: expected {p * q * n} defining values for "

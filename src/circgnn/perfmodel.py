@@ -24,8 +24,9 @@ times num_nodes.  DSP usage is
       + vpu_lanes * vpu_lane_dsp
 
 ``search_optimal`` enumerates every feasible parameter combination under the
-DSP budget and returns the cycle-minimal one (ties: fewer DSPs, then the
-lexicographically smallest parameter tuple).
+DSP budget (default ``DSP_BUDGET``, PE sides up to ``PE_LIMIT``) and returns
+the cycle-minimal one (ties: fewer DSPs, then the lexicographically smallest
+parameter tuple).
 
 Cost coefficients are calibrated per block size; built-in defaults exist
 only for n = 128 and other sizes must supply their own numbers.
@@ -37,15 +38,25 @@ once per node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from enum import Enum
 
 import numpy as np
 
-from .circulant import require_power_of_two
+from .circulant import block_counts, require_power_of_two
 from .errors import InfeasibleError, SchemaError
 
 _VPU_SIMD_WIDTH = 16
+# Search defaults: the DSP budget and the largest side of the PE array.
+DSP_BUDGET = 900
+PE_LIMIT = 32
+
+
+def _require_positive(obj, *names: str) -> None:
+    """Raise SchemaError naming the first of the fields ``names`` of ``obj`` below 1."""
+    for name in names:
+        if getattr(obj, name) < 1:
+            raise SchemaError(f"{type(obj).__name__}.{name} must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -61,23 +72,15 @@ class HardwareConfig:
     block_size: int
 
     def __post_init__(self):
-        for name in ("fft_channels", "ifft_channels", "pe_rows", "pe_cols", "vpu_lanes"):
-            if getattr(self, name) < 1:
-                raise SchemaError(f"HardwareConfig.{name} must be >= 1")
+        _require_positive(self, "fft_channels", "ifft_channels", "pe_rows", "pe_cols", "vpu_lanes")
         require_power_of_two(self.block_size, 2)
         require_power_of_two(self.pack_size, 1, "pack_size")
         if self.pack_size > self.block_size:
             raise SchemaError("pack_size must not exceed block_size")
 
     def as_tuple(self) -> tuple[int, int, int, int, int, int]:
-        return (
-            self.fft_channels,
-            self.ifft_channels,
-            self.pe_rows,
-            self.pe_cols,
-            self.pack_size,
-            self.vpu_lanes,
-        )
+        """The searched parameters, in field order (all but block_size)."""
+        return astuple(self)[:-1]
 
 
 @dataclass(frozen=True)
@@ -91,32 +94,24 @@ class CostCoefficients:
     dsp_budget: int
 
     def __post_init__(self):
-        for name in (
-            "transform_cycles",
-            "fft_channel_dsp",
-            "pe_dsp_per_pack",
-            "vpu_lane_dsp",
+        _require_positive(
+            self, "transform_cycles", "fft_channel_dsp", "pe_dsp_per_pack", "vpu_lane_dsp",
             "dsp_budget",
-        ):
-            if getattr(self, name) < 1:
-                raise SchemaError(f"CostCoefficients.{name} must be >= 1")
+        )
 
 
-# Calibrated stage costs, keyed by block size: (transform_cycles, fft_channel_dsp).
-_CALIBRATED = {128: (484, 18)}
-_PE_DSP_PER_PACK = 16
-_VPU_LANE_DSP = 64
+# Calibrated stage costs, keyed by block size: every CostCoefficients field but the budget.
+_CALIBRATED = {128: (484, 18, 16, 64)}
 
 
-def default_coefficients(block_size: int, dsp_budget: int = 900) -> CostCoefficients:
+def default_coefficients(block_size: int, dsp_budget: int = DSP_BUDGET) -> CostCoefficients:
     """Built-in coefficients; only block_size 128 is calibrated."""
     if block_size not in _CALIBRATED:
         raise SchemaError(
             f"no calibrated coefficients for block size {block_size}; "
             "supply transform_cycles and fft_channel_dsp explicitly"
         )
-    cycles, channel_dsp = _CALIBRATED[block_size]
-    return CostCoefficients(cycles, channel_dsp, _PE_DSP_PER_PACK, _VPU_LANE_DSP, dsp_budget)
+    return CostCoefficients(*_CALIBRATED[block_size], dsp_budget)
 
 
 @dataclass(frozen=True)
@@ -128,14 +123,11 @@ class WorkloadLayer:
     out_dim: int
 
     def __post_init__(self):
-        if self.samples < 1 or self.in_dim < 1 or self.out_dim < 1:
-            raise SchemaError("workload layer fields must be >= 1")
+        _require_positive(self, "samples", "in_dim", "out_dim")
 
-    def q(self, block_size: int) -> int:
-        return -(-self.in_dim // block_size)
-
-    def p(self, block_size: int) -> int:
-        return -(-self.out_dim // block_size)
+    def blocks(self, block_size: int) -> tuple[int, int]:
+        """(p, q): block rows and block columns of the weight at ``block_size``."""
+        return block_counts(self.out_dim, self.in_dim, block_size)
 
 
 @dataclass(frozen=True)
@@ -154,6 +146,8 @@ class WorkloadSpec:
 
 
 class Stage(str, Enum):
+    """Pipeline stages; the definition order breaks ties for the bottleneck."""
+
     FFT = "fft"
     MAC = "mac"
     IFFT = "ifft"
@@ -164,26 +158,25 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def cycle_fft(samples: int, q: int, channels: int, transform_cycles: int) -> int:
-    """Cycles to forward-transform S*q block sub-vectors on ``channels`` units."""
-    return transform_cycles * _ceil_div(samples * q, channels)
+def cycle_fft(samples: int, blocks: int, channels: int, transform_cycles: int) -> int:
+    """Cycles to transform S*blocks length-n vectors on ``channels`` units.
+
+    One stage form serves both banks: S*q forward transforms of the input
+    blocks (``cycle_fft``) and S*p inverse transforms of the accumulated
+    block rows (``cycle_ifft``).
+    """
+    return transform_cycles * _ceil_div(samples * blocks, channels)
+
+
+cycle_ifft = cycle_fft
 
 
 def cycle_mac(
     samples: int, q: int, p: int, pe_rows: int, pe_cols: int, block_size: int, pack_size: int
 ) -> int:
     """Cycles for the spectral multiply-accumulates on the systolic array."""
-    return (
-        samples
-        * _ceil_div(q, pe_rows)
-        * _ceil_div(p, pe_cols)
-        * _ceil_div(block_size, pack_size)
-    )
-
-
-def cycle_ifft(samples: int, p: int, channels: int, transform_cycles: int) -> int:
-    """Cycles to inverse-transform S*p accumulated block rows."""
-    return transform_cycles * _ceil_div(samples * p, channels)
+    return (samples * _ceil_div(q, pe_rows) * _ceil_div(p, pe_cols)
+            * _ceil_div(block_size, pack_size))
 
 
 def cycle_vpu(samples: int, out_dim: int, lanes: int) -> int:
@@ -201,38 +194,31 @@ class LayerCycles:
     bottleneck: Stage
 
 
-# Reporting priority when stages tie for the maximum.
-_STAGE_ORDER = (Stage.FFT, Stage.MAC, Stage.IFFT, Stage.VPU)
-
-
 def layer_cycles(layer: WorkloadLayer, hw: HardwareConfig, coeffs: CostCoefficients) -> LayerCycles:
     """Per-node cycles of one layer: the slowest of the four pipelined stages."""
-    q, p = layer.q(hw.block_size), layer.p(hw.block_size)
-    values = {
-        Stage.FFT: cycle_fft(layer.samples, q, hw.fft_channels, coeffs.transform_cycles),
-        Stage.MAC: cycle_mac(
-            layer.samples, q, p, hw.pe_rows, hw.pe_cols, hw.block_size, hw.pack_size
-        ),
-        Stage.IFFT: cycle_ifft(layer.samples, p, hw.ifft_channels, coeffs.transform_cycles),
-        Stage.VPU: cycle_vpu(layer.samples, layer.out_dim, hw.vpu_lanes),
-    }
-    peak = max(values.values())
-    bottleneck = next(s for s in _STAGE_ORDER if values[s] == peak)
-    return LayerCycles(
-        values[Stage.FFT], values[Stage.MAC], values[Stage.IFFT], values[Stage.VPU],
-        peak, bottleneck,
+    p, q = layer.blocks(hw.block_size)
+    values = (  # in Stage order
+        cycle_fft(layer.samples, q, hw.fft_channels, coeffs.transform_cycles),
+        cycle_mac(layer.samples, q, p, hw.pe_rows, hw.pe_cols, hw.block_size, hw.pack_size),
+        cycle_ifft(layer.samples, p, hw.ifft_channels, coeffs.transform_cycles),
+        cycle_vpu(layer.samples, layer.out_dim, hw.vpu_lanes),
     )
+    peak = max(values)
+    return LayerCycles(*values, peak, list(Stage)[values.index(peak)])
 
 
 @dataclass(frozen=True)
 class CycleEstimate:
     layers: tuple[LayerCycles, ...]
     num_nodes: int
-    total_cycles: int
 
     @property
     def per_node_cycles(self) -> int:
         return sum(lc.peak_cycles for lc in self.layers)
+
+    @property
+    def total_cycles(self) -> int:
+        return self.per_node_cycles * self.num_nodes
 
 
 def total_cycles(workload: WorkloadSpec, hw: HardwareConfig, coeffs: CostCoefficients) -> CycleEstimate:
@@ -242,17 +228,19 @@ def total_cycles(workload: WorkloadSpec, hw: HardwareConfig, coeffs: CostCoeffic
             f"hardware block size {hw.block_size} != workload block size {workload.block_size}"
         )
     per_layer = tuple(layer_cycles(layer, hw, coeffs) for layer in workload.layers)
-    per_node = sum(lc.peak_cycles for lc in per_layer)
-    return CycleEstimate(per_layer, workload.num_nodes, per_node * workload.num_nodes)
+    return CycleEstimate(per_layer, workload.num_nodes)
+
+
+def _dsp(coeffs: CostCoefficients, channels: int, pe_packs: int, lanes: int) -> int:
+    """DSPs of fft plus ifft ``channels``, ``pe_packs`` PE pack units and VPU ``lanes``."""
+    return (coeffs.fft_channel_dsp * channels + coeffs.pe_dsp_per_pack * pe_packs
+            + coeffs.vpu_lane_dsp * lanes)
 
 
 def dsp_usage(hw: HardwareConfig, coeffs: CostCoefficients) -> int:
     """DSP blocks consumed by a configuration."""
-    return (
-        coeffs.fft_channel_dsp * (hw.fft_channels + hw.ifft_channels)
-        + hw.pe_rows * hw.pe_cols * (coeffs.pe_dsp_per_pack * hw.pack_size)
-        + hw.vpu_lanes * coeffs.vpu_lane_dsp
-    )
+    pe_packs = hw.pe_rows * hw.pe_cols * hw.pack_size
+    return _dsp(coeffs, hw.fft_channels + hw.ifft_channels, pe_packs, hw.vpu_lanes)
 
 
 @dataclass(frozen=True)
@@ -266,8 +254,8 @@ class SearchResult:
 def search_optimal(
     workload: WorkloadSpec,
     coeffs: CostCoefficients,
-    max_pe_rows: int = 32,
-    max_pe_cols: int = 32,
+    max_pe_rows: int = PE_LIMIT,
+    max_pe_cols: int = PE_LIMIT,
 ) -> SearchResult:
     """Exhaustive search for the feasible config minimizing total cycles.
 
@@ -284,7 +272,7 @@ def search_optimal(
     n = workload.block_size
     budget = coeffs.dsp_budget
     beta = coeffs.fft_channel_dsp
-    floor_dsp = 2 * beta + coeffs.pe_dsp_per_pack + coeffs.vpu_lane_dsp
+    floor_dsp = _dsp(coeffs, 2, 1, 1)
     if budget < floor_dsp:
         raise InfeasibleError(
             f"no configuration meets the DSP budget of {budget} "
@@ -294,12 +282,13 @@ def search_optimal(
     layers = workload.layers
     # fft/ifft stage cycles for every channel count; either bank leaves the other >= 1
     chans = np.arange(1, budget // beta, dtype=np.int64)
+    grids = [l.blocks(n) for l in layers]  # (p, q) per layer
     transforms = [
         np.maximum.outer(
-            cycle_fft(l.samples, l.q(n), chans, coeffs.transform_cycles),
-            cycle_ifft(l.samples, l.p(n), chans, coeffs.transform_cycles),
+            cycle_fft(l.samples, q, chans, coeffs.transform_cycles),
+            cycle_ifft(l.samples, p, chans, coeffs.transform_cycles),
         )
-        for l in layers
+        for l, (p, q) in zip(layers, grids)
     ]
     chan_sum = chans[:, None] + chans[None, :]  # x + y: DSP cost and tie rank
     infeasible = np.iinfo(np.int64).max
@@ -308,19 +297,19 @@ def search_optimal(
     explored = 0
     for lanes in range(1, budget // coeffs.vpu_lane_dsp + 1):
         vpu = [cycle_vpu(l.samples, l.out_dim, lanes) for l in layers]
-        spare = budget - 2 * beta - lanes * coeffs.vpu_lane_dsp  # DSPs left for the PE array
+        spare = budget - _dsp(coeffs, 2, 0, lanes)  # DSPs left for the PE array
         for pack in (1 << k for k in range(n.bit_length())):
             unit = coeffs.pe_dsp_per_pack * pack
             for rows in range(1, min(max_pe_rows, spare // unit) + 1):
                 for cols in range(1, min(max_pe_cols, spare // (unit * rows)) + 1):
-                    dsp_fixed = lanes * coeffs.vpu_lane_dsp + rows * cols * unit
+                    dsp_fixed = _dsp(coeffs, 0, rows * cols * pack, lanes)
                     room = (budget - dsp_fixed) // beta  # x + y <= room, room >= 2
                     explored += room * (room - 1) // 2
                     w = room - 1  # largest x or y
                     sums = chan_sum[:w, :w]
                     floors = [
-                        max(v, cycle_mac(l.samples, l.q(n), l.p(n), rows, cols, n, pack))
-                        for v, l in zip(vpu, layers)
+                        max(v, cycle_mac(l.samples, q, p, rows, cols, n, pack))
+                        for v, l, (p, q) in zip(vpu, layers, grids)
                     ]
                     per_node = sum(np.maximum(t[:w, :w], f) for t, f in zip(transforms, floors))
                     per_node = np.where(sums <= room, per_node, infeasible)

@@ -4,8 +4,10 @@ The count-option fuzz, the overflow cases, the input-file fuzz and the
 UTF-8 cases call ``main`` in process.
 """
 
+import hashlib
 import itertools
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -110,6 +112,11 @@ class TestInfer:
     def test_negative_or_huge_batch_node_exits_3(self, tmp_path, capsys, batch):
         assert main([str(a) for a in infer_args(tmp_path / "r.json")] + [f"--batch={batch}"]) == 3
         assert f"node {batch.split(',')[-1]} out of range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spelling", [["--batch", "-1,2"], ["--batch=-1,2"], ["--batch", "-1"]])
+    def test_bad_batch_node_exits_3_however_spelled(self, tmp_path, capsys, spelling):
+        assert main([str(a) for a in infer_args(tmp_path / "r.json")] + spelling) == 3
+        assert "batch node -1 out of range" in capsys.readouterr().err
 
     def test_digest_is_the_same_in_every_batch_order(self, tmp_path):
         digests = set()
@@ -390,6 +397,28 @@ class TestSearch:
         proc = run_cli("search", "--config", cfg)
         assert proc.returncode == 3, proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+def test_cost_model_reports_are_pinned(tmp_path, capsys):
+    # sha256 of the search and profile outputs and summaries, timings left out,
+    # computed before the cost model gave each of its facts one owner
+    report = tmp_path / "r.json"
+    cora = [{"samples": 25, "in_dim": 1433, "out_dim": 128},
+            {"samples": 10, "in_dim": 128, "out_dim": 16}]
+    runs = []
+    for layers in (SEARCH_CONFIG["layers"], cora):
+        cfg = tmp_path / "search.json"
+        cfg.write_text(json.dumps({**SEARCH_CONFIG, "layers": layers}))
+        runs.append(["search", "--config", str(cfg), "--report", str(report)])
+    runs.append(["profile", "--dataset", "reddit", "--block-size", "128", "--report", str(report)])
+    digest = hashlib.sha256()
+    for argv in runs:
+        assert main(argv) == 0
+        outputs = json.loads(report.read_text())["outputs"]
+        outputs.pop("search_seconds", None)
+        summary = re.sub(r" in \d+\.\d+s", "", capsys.readouterr().out)
+        digest.update(json.dumps([outputs, summary], sort_keys=True).encode())
+    assert digest.hexdigest() == "c50d1e77d63976c5f3f31c221987deefda496cfd57483a8396b4328a66927ad5"
 
 
 class TestProfile:

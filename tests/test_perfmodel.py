@@ -22,6 +22,7 @@ from circgnn import (
     default_coefficients,
     dsp_usage,
     layer_cycles,
+    new_random,
     search_optimal,
     total_cycles,
 )
@@ -74,6 +75,14 @@ class TestStageFormulas:
         lc = layer_cycles(WorkloadLayer(4, 512, 512), hw, COEFFS)
         assert lc.fft_cycles == lc.ifft_cycles == lc.peak_cycles
         assert lc.bottleneck is Stage.FFT
+
+
+@pytest.mark.parametrize("in_dim, out_dim, n", [
+    (1433, 128, 16), (7, 33, 8), (1, 130, 128), (512, 512, 128), (64, 16, 16), (2, 2, 2),
+])
+def test_block_grid_is_the_matrix_grid(in_dim, out_dim, n):
+    w = new_random(out_dim, in_dim, n, 0)
+    assert WorkloadLayer(25, in_dim, out_dim).blocks(n) == (w.p, w.q)
 
 
 class TestDspUsage:
