@@ -1,10 +1,12 @@
 """Command-line front end: infer | compress | search | profile.
 
-Every run produces a RunReport that echoes the effective configuration and
-carries the command's structured outputs; --report writes it as JSON.  Exit
-codes: 0 on success, 2 for unreadable or malformed input, 3 for schema and
-dimension violations, 4 for an infeasible search budget, 5 for failed
-internal consistency checks.
+Each command prints its own summary.  Every run produces a RunReport whose
+inputs echo every parsed option plus what the command derived from them, and
+which carries the command's structured outputs; --report writes it as JSON.
+Options must be spelled in full.  Exit codes: 0 on success, 2 for unreadable
+or malformed input and for an output file that cannot be written, 3 for
+schema and dimension violations, 4 for an infeasible search budget, 5 for
+failed internal consistency checks.
 """
 
 from __future__ import annotations
@@ -77,27 +79,14 @@ def _cmd_infer(args) -> tuple[dict, dict]:
         np.savetxt(args.out, out, delimiter=",")
     # in node-ID order: a float sum depends on the order of its terms
     by_node = out[np.argsort(batch, kind="stable")]
-    digest = {
-        "mean": by_node.mean(axis=0).tolist(),
-        "max": by_node.max(axis=0).tolist(),
-    }
-    inputs = {
-        "model": str(args.model),
-        "weights": str(args.weights),
-        "graph": str(args.graph),
-        "features": str(args.features),
-        "batch": args.batch,
-        "variant": config.variant.value,
-        "dims": [list(d) for d in config.dims],
-        "sample_sizes": list(config.sample_sizes),
-    }
-    outputs = {
-        "batch_size": len(batch),
-        "output_dim": int(out.shape[1]),
-        "digest": digest,
-        "out_csv": None if not args.out else str(args.out),
-    }
-    return inputs, outputs
+    digest = {"mean": by_node.mean(axis=0).tolist(), "max": by_node.max(axis=0).tolist()}
+    print(f"infer: {len(batch)} nodes -> dim {out.shape[1]}")
+    print("digest mean[:8]:", " ".join(f"{v:.6g}" for v in digest["mean"][:8]))
+    derived = {"variant": config.variant.value, "dims": [list(d) for d in config.dims],
+               "sample_sizes": list(config.sample_sizes)}
+    outputs = {"batch_size": len(batch), "output_dim": int(out.shape[1]), "digest": digest,
+               "out_csv": args.out or None}
+    return derived, outputs
 
 
 def _cmd_compress(args) -> tuple[dict, dict]:
@@ -138,9 +127,11 @@ def _cmd_compress(args) -> tuple[dict, dict]:
 
     if args.out:
         modelio.save_weights(layers, args.out)
-    inputs = {"weights": str(args.weights), "block_size": n,
-              "out": None if not args.out else str(args.out)}
-    return inputs, {"per_matrix": per_matrix}
+    for row in per_matrix:
+        print(f"layer {row['layer']:>2} {row['name']:<7} {row['rows']}x{row['cols']}"
+              f"  err {row['frobenius_error']:.6g}  compute x{row['compute_reduction']:.2f}"
+              f"  storage x{row['storage_reduction']:.0f}")
+    return {}, {"per_matrix": per_matrix}
 
 
 def _load_search_config(path) -> tuple[WorkloadSpec, CostCoefficients, int, int]:
@@ -181,27 +172,38 @@ def _cmd_search(args) -> tuple[dict, dict]:
     started = time.perf_counter()
     result = search_optimal(workload, coeffs, max_r, max_c)
     search_seconds = time.perf_counter() - started
-    inputs = {
-        "config": str(args.config),
+    best, estimate = result.best, result.estimate
+    utilization = result.dsp_usage / coeffs.dsp_budget
+    print(f"best: fft_channels={best.fft_channels} ifft_channels={best.ifft_channels}"
+          f" pe={best.pe_rows}x{best.pe_cols} pack={best.pack_size} lanes={best.vpu_lanes}")
+    print(f"dsp {result.dsp_usage}/{coeffs.dsp_budget} ({100 * utilization:.1f}%)"
+          f"  total cycles {estimate.total_cycles:,}"
+          f"  explored {result.explored:,} configs  in {search_seconds:.2f}s")
+    for i, lc in enumerate(estimate.layers):
+        print(f"layer {i}: fft {lc.fft_cycles} mac {lc.mac_cycles} ifft {lc.ifft_cycles}"
+              f" vpu {lc.vpu_cycles} -> {lc.peak_cycles} ({lc.bottleneck.value})")
+    derived = {
         **asdict(workload),  # num_nodes, block_size, layers
         "coefficients": asdict(coeffs),
         "max_pe_rows": max_r,
         "max_pe_cols": max_c,
     }
     outputs = {
-        "best": asdict(result.best),
+        "best": asdict(best),
         "dsp_usage": result.dsp_usage,
         "dsp_budget": coeffs.dsp_budget,
-        "dsp_utilization": result.dsp_usage / coeffs.dsp_budget,
-        "total_cycles": result.estimate.total_cycles,
-        "per_node_cycles": result.estimate.per_node_cycles,
-        "layers": [
-            {**asdict(lc), "bottleneck": lc.bottleneck.value} for lc in result.estimate.layers
-        ],
+        "dsp_utilization": utilization,
+        "total_cycles": estimate.total_cycles,
+        "per_node_cycles": estimate.per_node_cycles,
+        "layers": [{**asdict(lc), "bottleneck": lc.bottleneck.value} for lc in estimate.layers],
         "explored": result.explored,
         "search_seconds": search_seconds,
     }
-    return inputs, outputs
+    return derived, outputs
+
+
+# Arithmetic intensity (flops per byte) below which a profiled phase is marked memory bound.
+_MEMORY_BOUND_BELOW = 10
 
 
 def _cmd_profile(args) -> tuple[dict, dict]:
@@ -211,7 +213,7 @@ def _cmd_profile(args) -> tuple[dict, dict]:
     if args.dataset is not None:
         stats = DATASET_STATS[args.dataset]
     else:
-        stats = GraphStats(args.nodes, 0, args.in_dim, 0)
+        stats = GraphStats(args.nodes or 0, 0, args.in_dim, 0)
     variants = list(Variant) if args.variant == "all" else [Variant(args.variant)]
     grid = profile_grid(
         stats,
@@ -225,109 +227,57 @@ def _cmd_profile(args) -> tuple[dict, dict]:
     grid_rows = []
     for (v, ph), prof in grid.items():
         row = {"variant": v.value, "phase": ph.value, **asdict(prof)}
+        intensity = "undefined" if prof.intensity is None else f"{prof.intensity:.2f}"
+        line = (f"{v.value:<7} {ph.value:<12} flops {prof.flops:.3e}"
+                f" bytes {prof.bytes_moved:.3e} intensity {intensity}")
         if args.block_size > 1:
             row["compressed_flops"] = compressed_flops(
                 v, ph, stats, args.in_dim, args.out_dim, args.samples,
                 args.block_size, heads=args.heads, head_dim=args.head_dim,
             )
+            line += f" compressed {row['compressed_flops']:.3e}"
+        if prof.intensity is not None and prof.intensity < _MEMORY_BOUND_BELOW:
+            line += "  memory bound"
         grid_rows.append(row)
-    inputs = {
-        "dataset": args.dataset,
-        "num_nodes": stats.num_nodes,
-        "in_dim": args.in_dim,
-        "out_dim": args.out_dim,
-        "samples": args.samples,
-        "heads": args.heads,
-        "head_dim": args.head_dim,
-        "block_size": args.block_size,
-        "variant": args.variant,
-    }
-    return inputs, {"grid": grid_rows}
-
-
-# Arithmetic intensity (flops per byte) below which a profiled phase is marked memory bound.
-_MEMORY_BOUND_BELOW = 10
-
-
-def _print_summary(report: RunReport) -> None:
-    out = report.outputs
-    if report.command == "infer":
-        print(f"infer: {out['batch_size']} nodes -> dim {out['output_dim']}")
-        mean = out["digest"]["mean"]
-        print("digest mean[:8]:", " ".join(f"{v:.6g}" for v in mean[:8]))
-    elif report.command == "compress":
-        for row in out["per_matrix"]:
-            print(
-                f"layer {row['layer']:>2} {row['name']:<7} {row['rows']}x{row['cols']}"
-                f"  err {row['frobenius_error']:.6g}"
-                f"  compute x{row['compute_reduction']:.2f}"
-                f"  storage x{row['storage_reduction']:.0f}"
-            )
-    elif report.command == "search":
-        best = out["best"]
-        print(
-            "best: fft_channels={fft_channels} ifft_channels={ifft_channels} "
-            "pe={pe_rows}x{pe_cols} pack={pack_size} lanes={vpu_lanes}".format(**best)
-        )
-        print(
-            f"dsp {out['dsp_usage']}/{out['dsp_budget']}"
-            f" ({100 * out['dsp_utilization']:.1f}%)"
-            f"  total cycles {out['total_cycles']:,}"
-            f"  explored {out['explored']:,} configs"
-            f"  in {out['search_seconds']:.2f}s"
-        )
-        for i, lc in enumerate(out["layers"]):
-            print(
-                f"layer {i}: fft {lc['fft_cycles']} mac {lc['mac_cycles']}"
-                f" ifft {lc['ifft_cycles']} vpu {lc['vpu_cycles']}"
-                f" -> {lc['peak_cycles']} ({lc['bottleneck']})"
-            )
-    elif report.command == "profile":
-        for row in out["grid"]:
-            intensity = row["intensity"]
-            text = "undefined" if intensity is None else f"{intensity:.2f}"
-            line = (
-                f"{row['variant']:<7} {row['phase']:<12}"
-                f" flops {row['flops']:.3e} bytes {row['bytes_moved']:.3e}"
-                f" intensity {text}"
-            )
-            if "compressed_flops" in row:
-                line += f" compressed {row['compressed_flops']:.3e}"
-            if intensity is not None and intensity < _MEMORY_BOUND_BELOW:
-                line += "  memory bound"
-            print(line)
+        print(line)  # compressed_flops repeats checks already passed: no later row can fail
+    return {"num_nodes": stats.num_nodes}, {"grid": grid_rows}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
+    # no abbreviations: each option has one spelling, which main's --batch join relies on
+    shared = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     shared.add_argument("--seed", type=int, default=0, help="base RNG seed")
     shared.add_argument("--report", default=None, help="write the JSON run report here")
 
-    parser = argparse.ArgumentParser(prog="circgnn", description=__doc__)
+    parser = argparse.ArgumentParser(prog="circgnn", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("infer", parents=[shared], help="run forward inference on a graph")
+    def command(name, func, help):
+        p = sub.add_parser(name, parents=[shared], help=help, allow_abbrev=False)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("infer", _cmd_infer, "run forward inference on a graph")
     p.add_argument("--model", required=True)
     p.add_argument("--weights", required=True)
     p.add_argument("--graph", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--batch", default="all")
     p.add_argument("--out", default=None, help="write batch outputs as CSV")
-    p.set_defaults(func=_cmd_infer)
 
-    p = sub.add_parser("compress", parents=[shared], help="project dense weights to block-circulant")
+    p = command("compress", _cmd_compress, "project dense weights to block-circulant")
     p.add_argument("--weights", required=True)
     p.add_argument("--block-size", type=int, required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_compress)
 
-    p = sub.add_parser("search", parents=[shared], help="search accelerator parameters")
+    p = command("search", _cmd_search, "search accelerator parameters")
     p.add_argument("--config", required=True)
-    p.set_defaults(func=_cmd_search)
 
-    p = sub.add_parser("profile", parents=[shared], help="closed-form FLOP/intensity profile")
-    p.add_argument("--dataset", default=None, choices=sorted(DATASET_STATS))
-    p.add_argument("--nodes", type=int, default=0)
+    p = command("profile", _cmd_profile, "closed-form FLOP/intensity profile")
+    graph = p.add_mutually_exclusive_group()
+    graph.add_argument("--dataset", default=None, choices=sorted(DATASET_STATS))
+    # default None, not 0: argparse counts an option as given only if its value is not the default
+    graph.add_argument("--nodes", type=int, default=None, help="graph size (default 0)")
     p.add_argument("--samples", type=int, default=25)
     p.add_argument("--in-dim", type=int, default=512)
     p.add_argument("--out-dim", type=int, default=512)
@@ -336,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--block-size", type=int, default=1)
     p.add_argument("--variant", default="all",
                    choices=["all"] + [v.value for v in Variant])
-    p.set_defaults(func=_cmd_profile)
     return parser
 
 
@@ -348,16 +297,21 @@ def main(argv=None) -> int:
             argv[i:i + 2] = [f"--batch={argv[i + 1]}"]
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
+    options = {k: v for k, v in vars(args).items()
+               if k not in ("command", "func", "seed", "report")}
     try:
-        inputs, outputs = args.func(args)
+        derived, outputs = args.func(args)
+        report = RunReport(args.command, args.seed, {**options, **derived}, outputs,
+                           time.perf_counter() - started)
+        if args.report:
+            with open(args.report, "w") as fh:
+                fh.write(report.to_json())
     except CircGnnError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    report = RunReport(args.command, args.seed, inputs, outputs, time.perf_counter() - started)
-    _print_summary(report)
-    if args.report:
-        with open(args.report, "w") as fh:
-            fh.write(report.to_json())
+    except OSError as exc:  # every reader raises InputParseError, so this is a write
+        print(f"error: {exc}", file=sys.stderr)
+        return InputParseError.exit_code
     return 0
 
 

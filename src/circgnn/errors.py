@@ -12,7 +12,10 @@ class CircGnnError(Exception):
 
 
 class InputParseError(CircGnnError):
-    """Malformed or unreadable input: bad edge-list line, broken CSV/JSON, missing file."""
+    """Malformed or unreadable input: bad edge-list line, broken CSV/JSON, missing file.
+
+    The CLI also exits with this code when an output file cannot be written.
+    """
 
     exit_code = 2
 

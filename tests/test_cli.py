@@ -27,7 +27,7 @@ from circgnn import (
     save_model_config,
     save_weights,
 )
-from circgnn.cli import main
+from circgnn.cli import build_parser, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -117,6 +117,13 @@ class TestInfer:
     def test_bad_batch_node_exits_3_however_spelled(self, tmp_path, capsys, spelling):
         assert main([str(a) for a in infer_args(tmp_path / "r.json")] + spelling) == 3
         assert "batch node -1 out of range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spelling", [["--bat", "-1,2"], ["--bat=-1,2"], ["--bat", "1"]])
+    def test_abbreviated_option_is_a_usage_error(self, tmp_path, capsys, spelling):
+        with pytest.raises(SystemExit) as exc:
+            main([str(a) for a in infer_args(tmp_path / "r.json")] + spelling)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --bat" in capsys.readouterr().err
 
     def test_digest_is_the_same_in_every_batch_order(self, tmp_path):
         digests = set()
@@ -421,6 +428,61 @@ def test_cost_model_reports_are_pinned(tmp_path, capsys):
     assert digest.hexdigest() == "c50d1e77d63976c5f3f31c221987deefda496cfd57483a8396b4328a66927ad5"
 
 
+def test_infer_and_compress_summaries_are_pinned(tmp_path, capsys):
+    # sha256 of the infer and compress outputs and summaries, computed while
+    # the summaries were still printed from the report rather than by each command
+    weights = tmp_path / "gspool.json"
+    cfg = GnnModelConfig("gspool", ((8, 8), (8, 4)), (2, 2))
+    save_weights(random_weights(cfg, seed=11), weights)
+    report = tmp_path / "r.json"
+    runs = [[str(a) for a in infer_args(report)],
+            ["compress", "--weights", str(weights), "--block-size", "4", "--report", str(report)]]
+    digest = hashlib.sha256()
+    for argv in runs:
+        assert main(argv) == 0
+        outputs = json.loads(report.read_text())["outputs"]
+        digest.update(json.dumps([outputs, capsys.readouterr().out], sort_keys=True).encode())
+    assert digest.hexdigest() == "fd11e7711f8d067d62b2a2baf07474f9200475c89fa70ee1c472aeb602456637"
+
+
+@pytest.mark.parametrize("command", ["infer", "compress", "search", "profile"])
+def test_report_echoes_every_option(tmp_path, dense_weights_file, command):
+    search = tmp_path / "search.json"
+    search.write_text(json.dumps(SEARCH_CONFIG))
+    report = tmp_path / "r.json"
+    argv = {
+        "infer": infer_args(report, extra=["--batch", "0,2", "--out", tmp_path / "o.csv"]),
+        "compress": ["compress", "--weights", dense_weights_file, "--block-size", 2,
+                     "--out", tmp_path / "c.json", "--report", report],
+        "search": ["search", "--config", search, "--report", report],
+        "profile": ["profile", "--nodes", 5, "--in-dim", 64, "--variant", "gat",
+                    "--report", report],
+    }[command]
+    argv = [str(a) for a in argv]
+    assert main(argv) == 0
+    inputs = json.loads(report.read_text())["inputs"]
+    parsed = vars(build_parser().parse_args(argv))
+    for option in set(parsed) - {"command", "func", "seed", "report"}:
+        assert inputs[option] == parsed[option], option
+
+
+@pytest.mark.parametrize("command, option, name", [
+    ("infer", "--out", "missing/x.csv"),
+    ("infer", "--out", "."),
+    ("infer", "--report", "missing/r.json"),
+    ("compress", "--out", "missing/c.json"),
+])
+def test_unwritable_output_exits_2(tmp_path, capsys, dense_weights_file, command, option, name):
+    path = str(tmp_path / name)
+    argv = {  # a repeated option takes its last value, so --report may follow infer_args'
+        "infer": [str(a) for a in infer_args(tmp_path / "r.json")],
+        "compress": ["compress", "--weights", str(dense_weights_file), "--block-size", "2"],
+    }[command]
+    assert main(argv + [option, path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and path in err
+
+
 class TestProfile:
     def test_dataset_grid(self, tmp_path):
         report_path = tmp_path / "r.json"
@@ -455,6 +517,14 @@ class TestProfile:
         grid = json.loads(report_path.read_text())["outputs"]["grid"]
         assert {r["variant"] for r in grid} == {"gcn"}
         assert len(grid) == 2
+
+    @pytest.mark.parametrize("graph", [["--dataset", "cora", "--nodes", "5"],
+                                       ["--nodes", "0", "--dataset", "cora"]])
+    def test_dataset_excludes_nodes(self, capsys, graph):
+        with pytest.raises(SystemExit) as exc:
+            main(["profile", *graph])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
 
     def test_memory_bound_mark(self):
         proc = run_cli("profile", "--dataset", "reddit", check=True)
