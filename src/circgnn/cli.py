@@ -3,10 +3,11 @@
 Each command prints its own summary.  Every run produces a RunReport whose
 inputs echo every parsed option plus what the command derived from them, and
 which carries the command's structured outputs; --report writes it as JSON.
-Options must be spelled in full.  Exit codes: 0 on success, 2 for unreadable
-or malformed input and for an output file that cannot be written, 3 for
-schema and dimension violations, 4 for an infeasible search budget, 5 for
-failed internal consistency checks.
+Options must be spelled in full.  Exit codes: 0 on success, 2 for a usage
+error (an empty output path among them), for unreadable or malformed input
+and for an output file that cannot be written, 3 for schema and dimension
+violations, 4 for an infeasible search budget, 5 for failed internal
+consistency checks.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ def _cmd_infer(args) -> tuple[dict, dict]:
     g = load_edge_list(args.graph, args.features)
     batch = _parse_batch(args.batch, g.num_nodes)
     out = forward(model, g, batch, seed=args.seed)
-    if args.out:
+    if args.out is not None:
         np.savetxt(args.out, out, delimiter=",")
     # in node-ID order: a float sum depends on the order of its terms
     by_node = out[np.argsort(batch, kind="stable")]
@@ -85,7 +86,7 @@ def _cmd_infer(args) -> tuple[dict, dict]:
     derived = {"variant": config.variant.value, "dims": [list(d) for d in config.dims],
                "sample_sizes": list(config.sample_sizes)}
     outputs = {"batch_size": len(batch), "output_dim": int(out.shape[1]), "digest": digest,
-               "out_csv": args.out or None}
+               "out_csv": args.out}
     return derived, outputs
 
 
@@ -125,7 +126,7 @@ def _cmd_compress(args) -> tuple[dict, dict]:
 
         layers[k] = LayerWeights(**map_slots(vars(lw), project))
 
-    if args.out:
+    if args.out is not None:
         modelio.save_weights(layers, args.out)
     for row in per_matrix:
         print(f"layer {row['layer']:>2} {row['name']:<7} {row['rows']}x{row['cols']}"
@@ -243,11 +244,19 @@ def _cmd_profile(args) -> tuple[dict, dict]:
     return {"num_nodes": stats.num_nodes}, {"grid": grid_rows}
 
 
+def _path(text: str) -> str:
+    """An output path; argparse names the option when this rejects one."""
+    if not text:
+        raise argparse.ArgumentTypeError("expected a file path, got an empty string")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     # no abbreviations: each option has one spelling, which main's --batch join relies on
     shared = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     shared.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    shared.add_argument("--report", default=None, help="write the JSON run report here")
+    shared.add_argument("--report", type=_path, default=None,
+                        help="write the JSON run report here")
 
     parser = argparse.ArgumentParser(prog="circgnn", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -263,12 +272,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--batch", default="all")
-    p.add_argument("--out", default=None, help="write batch outputs as CSV")
+    p.add_argument("--out", type=_path, default=None, help="write batch outputs as CSV")
 
     p = command("compress", _cmd_compress, "project dense weights to block-circulant")
     p.add_argument("--weights", required=True)
     p.add_argument("--block-size", type=int, required=True)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", type=_path, default=None)
 
     p = command("search", _cmd_search, "search accelerator parameters")
     p.add_argument("--config", required=True)
@@ -303,7 +312,7 @@ def main(argv=None) -> int:
         derived, outputs = args.func(args)
         report = RunReport(args.command, args.seed, {**options, **derived}, outputs,
                            time.perf_counter() - started)
-        if args.report:
+        if args.report is not None:
             with open(args.report, "w") as fh:
                 fh.write(report.to_json())
     except CircGnnError as exc:

@@ -445,6 +445,22 @@ def test_infer_and_compress_summaries_are_pinned(tmp_path, capsys):
     assert digest.hexdigest() == "fd11e7711f8d067d62b2a2baf07474f9200475c89fa70ee1c472aeb602456637"
 
 
+def test_weight_files_are_pinned(tmp_path):
+    # sha256 of the file save_weights writes from a loaded model and of the file
+    # compress writes from that, computed while models kept their weights row-major
+    cfg = GnnModelConfig("gat", ((8, 8), (8, 4)), (2, 2), gat_heads=2, gat_head_dim=4)
+    dense = tmp_path / "dense.json"
+    save_weights(random_weights(cfg, seed=11), dense)
+    model = GnnModel(cfg, load_weights(dense))
+    assert model.layers[0].W.flags.f_contiguous and model.layers[0].W_att[1].flags.f_contiguous
+    saved, compressed = tmp_path / "saved.json", tmp_path / "compressed.json"
+    save_weights(model.layers, saved)
+    assert main(["compress", "--weights", str(saved), "--block-size", "4",
+                 "--out", str(compressed)]) == 0
+    digest = hashlib.sha256(saved.read_bytes() + compressed.read_bytes()).hexdigest()
+    assert digest == "b4322cd5a8317474d8911c9a5ae566b93ec24f0f78a1df8f2ff28a253745421a"
+
+
 @pytest.mark.parametrize("command", ["infer", "compress", "search", "profile"])
 def test_report_echoes_every_option(tmp_path, dense_weights_file, command):
     search = tmp_path / "search.json"
@@ -471,13 +487,22 @@ def test_report_echoes_every_option(tmp_path, dense_weights_file, command):
     ("infer", "--out", "."),
     ("infer", "--report", "missing/r.json"),
     ("compress", "--out", "missing/c.json"),
+    ("infer", "--out", ""),
+    ("infer", "--report", ""),
+    ("compress", "--out", ""),
 ])
 def test_unwritable_output_exits_2(tmp_path, capsys, dense_weights_file, command, option, name):
-    path = str(tmp_path / name)
     argv = {  # a repeated option takes its last value, so --report may follow infer_args'
         "infer": [str(a) for a in infer_args(tmp_path / "r.json")],
         "compress": ["compress", "--weights", str(dense_weights_file), "--block-size", "2"],
     }[command]
+    if not name:  # an empty path is a usage error, which argparse reports by option
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [option, ""])
+        assert exc.value.code == 2
+        assert f"error: argument {option}: expected a file path" in capsys.readouterr().err
+        return
+    path = str(tmp_path / name)
     assert main(argv + [option, path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and path in err

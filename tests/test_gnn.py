@@ -330,20 +330,34 @@ def _graph_and_config(variant, block_size=8, dims=((16, 16), (16, 16)), samples=
     return g, cfg
 
 
+def _binary_graph_and_config(variant):
+    # 0/1 features at about 1% density, as in bag-of-words data, and dense weights
+    g, cfg = _graph_and_config(variant, block_size=1, dims=((400, 16), (16, 16)))
+    rng = np.random.default_rng(19)
+    return dataclasses.replace(g, features=rng.random(g.features.shape) < 0.01), cfg
+
+
 class TestDenseMatvec:
-    @pytest.mark.parametrize("shape", [(200, 700), (37, 3000), (1433, 1433)])
+    @pytest.mark.parametrize("shape", [(200, 700), (37, 6000), (1433, 1433)])
     def test_panels_keep_rows_exact(self, shape):
         rows, cols = shape
-        panel_rows = max(8, gnn._PANEL_BYTES // (8 * cols) // 8 * 8)
-        assert rows > 2 * panel_rows  # the weight spans at least three panels
+        panel_inputs = max(1, gnn._PANEL_BYTES // (8 * rows))
+        assert cols > 2 * panel_inputs  # a dense row spans at least three panels
         rng = np.random.default_rng(rows)
         w = rng.uniform(-1, 1, size=shape) / np.sqrt(cols)
-        x = rng.uniform(-1, 1, size=(5, cols))
+        cut = cols // gnn._SPARSE_CUT  # the most nonzeros a row may have to be gathered
+        # rows of 0, 1, about 1% and either side of the cut nonzeros, between dense rows
+        nonzeros = [cols, 0, cols, 1, max(2, cols // 100), cols, cut, cut + 1, cols]
+        x = np.zeros((len(nonzeros), cols))
+        for row, count in zip(x, nonzeros):
+            at = rng.choice(cols, size=count, replace=False)
+            row[at] = rng.uniform(-1, 1, size=count)
         batch = gnn.matvec(w, x)
-        assert batch.shape == (5, rows)
+        assert batch.shape == (len(x), rows)
         assert np.max(np.abs(batch - x @ w.T)) <= 1e-12
         assert np.array_equal(gnn.matvec(w, x[::-1]), batch[::-1])
-        for i in (0, 3):
+        assert np.array_equal(gnn.matvec(np.asfortranarray(w), x), batch)
+        for i in range(len(x)):
             assert np.array_equal(gnn.matvec(w, x[i]), batch[i])
             assert np.array_equal(gnn.matvec(w, x[i : i + 1])[0], batch[i])
 
@@ -385,25 +399,25 @@ class TestForward:
         assert np.array_equal(a, b)
 
     def test_batch_order_and_membership_invariance(self):
-        g, cfg = _graph_and_config("gcn")
-        model = GnnModel(cfg, random_weights(cfg, seed=3))
-        whole = forward(model, g, [2, 7, 11], seed=5)
-        flipped = forward(model, g, [11, 2, 7], seed=5)
-        assert np.array_equal(whole[0], flipped[1])
-        assert np.array_equal(whole[1], flipped[2])
-        solo = forward(model, g, [7], seed=5)
-        assert np.array_equal(whole[1], solo[0])
+        for g, cfg in (_graph_and_config("gcn"), _binary_graph_and_config("gcn")):
+            model = GnnModel(cfg, random_weights(cfg, seed=3))
+            whole = forward(model, g, [2, 7, 11], seed=5)
+            flipped = forward(model, g, [11, 2, 7], seed=5)
+            assert np.array_equal(whole[0], flipped[1])
+            assert np.array_equal(whole[1], flipped[2])
+            solo = forward(model, g, [7], seed=5)
+            assert np.array_equal(whole[1], solo[0])
 
     def test_batch_split_bit_identical(self):
-        g, cfg = _graph_and_config("gspool")
-        model = GnnModel(cfg, random_weights(cfg, seed=4))
-        batch = list(range(12))
-        whole = forward(model, g, batch, seed=6)
-        halves = np.vstack(
-            [forward(model, g, batch[:6], seed=6), forward(model, g, batch[6:], seed=6)]
-        )
-        assert np.array_equal(whole, halves)
-        assert np.array_equal(forward(model, g, batch[::-1], seed=6), whole[::-1])
+        for g, cfg in (_graph_and_config("gspool"), _binary_graph_and_config("gspool")):
+            model = GnnModel(cfg, random_weights(cfg, seed=4))
+            batch = list(range(12))
+            whole = forward(model, g, batch, seed=6)
+            halves = np.vstack(
+                [forward(model, g, batch[:6], seed=6), forward(model, g, batch[6:], seed=6)]
+            )
+            assert np.array_equal(whole, halves)
+            assert np.array_equal(forward(model, g, batch[::-1], seed=6), whole[::-1])
 
     @pytest.mark.parametrize("dense", [False, True], ids=["compressed", "dense"])
     @pytest.mark.parametrize("variant", ["gcn", "gspool", "ggcn", "gat"])
