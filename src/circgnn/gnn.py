@@ -1,8 +1,9 @@
 """Sample-based GNN inference over dense or block-circulant weights.
 
 Every layer splits into aggregation (pull a fixed-size neighbor sample into
-one vector) and combination (one weight multiply plus a nonlinearity).
-Four variants are supported:
+one vector) and combination (one weight multiply plus a nonlinearity).  All
+four variants' aggregations take the same arguments, (g, lw, h_u, idx, u,
+h_v, v), so every layer runs one ``aggregate_<variant>`` and one ``combine``:
 
   gcn     a_v = sum_u h_u / sqrt(deg(u) deg(v));      combine Relu(W a_v)
   gspool  a_v = elementwise-max_u Relu(W_pool h_u+b); combine Relu(W [a_v, h_v])
@@ -325,10 +326,12 @@ def densify_weights(layers: list[LayerWeights]) -> list[LayerWeights]:
 
 # --- aggregation -----------------------------------------------------------
 #
-# Aggregations take ``h``, one row per distinct sampled node of the layer,
-# and ``idx[f, s]``, the row of the s-th sample of frontier node f.  Results
-# are reduced over the samples one column of ``idx`` at a time, in sample
-# order, so no (frontier, samples, dim) array is ever built.
+# Every aggregation takes (g, lw, h_u, idx, u, h_v, v) and reads its own
+# weights from the layer's ``lw``.  Row i of ``h_u`` belongs to sampled node
+# u[i], row f of ``h_v`` to frontier node v[f], and idx[f, s] is the h_u row
+# of v[f]'s s-th sample.  Results are reduced over the samples one column of
+# ``idx`` at a time, in sample order, so no (frontier, samples, dim) array is
+# ever built.
 
 
 def _over_samples(op, idx: np.ndarray, term) -> np.ndarray:
@@ -336,41 +339,40 @@ def _over_samples(op, idx: np.ndarray, term) -> np.ndarray:
     return functools.reduce(op, (term(s, col) for s, col in enumerate(idx.T)))
 
 
-def aggregate_gcn(g: Graph, h, idx: np.ndarray, u, v) -> np.ndarray:
-    """Degree-normalized sum: row f is sum_s h[idx[f, s]] / sqrt(deg(u_s) deg(v_f)).
+def aggregate_gcn(g: Graph, lw: LayerWeights, h_u, idx: np.ndarray, u, h_v, v) -> np.ndarray:
+    """Degree-normalized sum: row f is sum_s h_u[idx[f, s]] / sqrt(deg(u_s) deg(v_f)).
 
-    u holds the node IDs of the rows of h, v the frontier node IDs.  Degrees
-    come from the full graph; zero degrees count as one so isolated nodes
-    (which sample themselves) stay well defined.
+    Degrees come from the full graph; zero degrees count as one so isolated
+    nodes (which sample themselves) stay well defined.
     """
     deg = np.maximum(degrees(g), 1)
     norm = np.sqrt(deg[u][idx] * deg[v][:, None])
-    return _over_samples(np.add, idx, lambda s, col: h[col] / norm[:, s, None])
+    return _over_samples(np.add, idx, lambda s, col: h_u[col] / norm[:, s, None])
 
 
-def aggregate_gspool(h, idx: np.ndarray, w_pool, b) -> np.ndarray:
+def aggregate_gspool(g: Graph, lw: LayerWeights, h_u, idx: np.ndarray, u, h_v, v) -> np.ndarray:
     """Element-wise max over the samples of Relu(W_pool h_u + b); order independent."""
-    pooled = activation("relu", matvec(w_pool, h) + b)
+    pooled = activation("relu", matvec(lw.W_pool, h_u) + lw.b)
     return _over_samples(np.maximum, idx, lambda s, col: pooled[col])
 
 
-def aggregate_ggcn(h, idx: np.ndarray, h_v, w_h, w_c) -> np.ndarray:
-    """Gated sum: row f is sum_s sigmoid(W_H h_u + W_C h_v) * h_u with u = idx[f, s].
+def aggregate_ggcn(g: Graph, lw: LayerWeights, h_u, idx: np.ndarray, u, h_v, v) -> np.ndarray:
+    """Gated sum: row f is sum_s sigmoid(W_H h_u + W_C h_v) * h_u over the samples u.
 
     The gate dimension equals the feature dimension, so the sigmoid output
     multiplies h_u element-wise.  W_H runs once per distinct sampled node
     and W_C once per frontier node.
     """
-    neighbor = matvec(w_h, h)
-    center = matvec(w_c, h_v)
-    if neighbor.shape != h.shape:
+    neighbor = matvec(lw.W_H, h_u)
+    center = matvec(lw.W_C, h_v)
+    if neighbor.shape != h_u.shape:
         raise SchemaError("ggcn gate dimension must equal the feature dimension")
     return _over_samples(
-        np.add, idx, lambda s, col: activation("sigmoid", neighbor[col] + center) * h[col]
+        np.add, idx, lambda s, col: activation("sigmoid", neighbor[col] + center) * h_u[col]
     )
 
 
-def aggregate_gat(h, idx: np.ndarray, h_v, lw: LayerWeights) -> np.ndarray:
+def aggregate_gat(g: Graph, lw: LayerWeights, h_u, idx: np.ndarray, u, h_v, v) -> np.ndarray:
     """Multi-head attention over the samples, heads concatenated.
 
     Scores use projected features, e_s = LeakyRelu(a @ [W_att h_v, W_att h_s]),
@@ -384,11 +386,11 @@ def aggregate_gat(h, idx: np.ndarray, h_v, lw: LayerWeights) -> np.ndarray:
         # per-row products and explicit folds: a gemv or numpy reduction over
         # many rows may sum in an order that depends on their number and layout
         center = np.matmul(h_v[:, None, :], c)[:, 0]
-        neighbor = np.matmul(h[:, None, :], e)[:, 0]
+        neighbor = np.matmul(h_u[:, None, :], e)[:, 0]
         scores = activation("leaky_relu", center[:, None] + neighbor[idx])
         weights = np.exp(scores - scores.max(axis=1, keepdims=True))
         alpha = weights / _over_samples(np.add, idx, lambda s, col: weights[:, s, None])
-        heads.append(_over_samples(np.add, idx, lambda s, col: alpha[:, s, None] * h[col]))
+        heads.append(_over_samples(np.add, idx, lambda s, col: alpha[:, s, None] * h_u[col]))
     return np.concatenate(heads, axis=-1)
 
 
@@ -426,7 +428,9 @@ def forward(model: GnnModel, g: Graph, batch, seed: int) -> np.ndarray:
         raise SchemaError(
             f"graph features have dim {g.feature_dim}, model expects {cfg.dims[0][0]}"
         )
-    batch = np.asarray(batch).reshape(-1)  # IDs beyond int64 stay Python ints until checked
+    batch = np.asarray(batch, dtype=object).reshape(-1)  # Python ints until range-checked
+    if not all(isinstance(b, (int, np.integer)) and not isinstance(b, bool) for b in batch):
+        raise SchemaError("batch node IDs must be integers")
     if batch.size == 0:
         raise SchemaError("batch must be nonempty")
     inside = ((batch >= 0) & (batch < g.num_nodes)).astype(bool)
@@ -453,14 +457,8 @@ def forward(model: GnnModel, g: Graph, batch, seed: int) -> np.ndarray:
         h_u = h[np.searchsorted(below, u)]
         h_v = h[np.searchsorted(below, centers)]
         with np.errstate(all="ignore"):
-            if cfg.variant is Variant.GCN:
-                a_v = aggregate_gcn(g, h_u, idx, u, centers)
-            elif cfg.variant is Variant.GS_POOL:
-                a_v = aggregate_gspool(h_u, idx, lw.W_pool, lw.b)
-            elif cfg.variant is Variant.G_GCN:
-                a_v = aggregate_ggcn(h_u, idx, h_v, lw.W_H, lw.W_C)
-            else:
-                a_v = aggregate_gat(h_u, idx, h_v, lw)
+            # looked up per call, so a wrapper swapped onto the module attribute is called
+            a_v = globals()[f"aggregate_{cfg.variant.value}"](g, lw, h_u, idx, u, h_v, centers)
             h = combine(cfg.variant, a_v, h_v, lw.W)
         if not np.isfinite(h).all():
             raise InternalConsistencyError(f"layer {k}: non-finite output")

@@ -103,17 +103,8 @@ def load_edge_list(path, feature_path=None) -> Graph:
     seen plus one.  The feature file, when given, must hold one CSV row of
     reals per node.
     """
-    try:
-        with open(path) as fh:
-            lines = fh.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputParseError(f"cannot read edge list {path}: {exc}") from exc
-
     src, dst = [], []
-    for lineno, line in enumerate(lines, start=1):
-        text = line.strip()
-        if not text or text.startswith("#"):
-            continue
+    for lineno, text in _content_lines(path, "edge list"):
         tokens = text.split()
         if len(tokens) != 2:
             raise InputParseError(f"{path}:{lineno}: expected 'src dst', got {text!r}")
@@ -141,17 +132,23 @@ def load_edge_list(path, feature_path=None) -> Graph:
     return _build_csr(num_nodes, pairs, features)
 
 
-def _load_feature_csv(path) -> np.ndarray:
+def _content_lines(path, what: str):
+    """Yield (line number, stripped text) of each line that is not blank or a ``#`` comment."""
     try:
         with open(path) as fh:
-            lines = [ln.strip() for ln in fh]
+            lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
-        raise InputParseError(f"cannot read features {path}: {exc}") from exc
+        raise InputParseError(f"cannot read {what} {path}: {exc}") from exc
+    for lineno, line in enumerate(lines, start=1):
+        text = line.strip()
+        if text and not text.startswith("#"):
+            yield lineno, text
+
+
+def _load_feature_csv(path) -> np.ndarray:
     rows = []
     width = None
-    for lineno, text in enumerate(lines, start=1):
-        if not text or text.startswith("#"):
-            continue
+    for lineno, text in _content_lines(path, "features"):
         try:
             row = np.array(text.split(","), dtype=np.float64)
         except ValueError as exc:

@@ -90,7 +90,7 @@ class TestAggregateGcn:
         h = rng.normal(size=(5, 4))  # row u is node u
         v = np.array([0, 4])
         idx = np.array([[1, 2, 2], [0, 3, 3]])  # repeats allowed, sampling is with replacement
-        got = aggregate_gcn(g, h, idx, np.arange(5), v)
+        got = aggregate_gcn(g, None, h, idx, np.arange(5), None, v)
         for f in range(2):
             dv = degrees(g)[v[f]]
             want = sum(h[u] / np.sqrt(degrees(g)[u] * dv) for u in idx[f])
@@ -101,7 +101,7 @@ class TestAggregateGcn:
         path.write_text("0 3\n")  # nodes 1, 2 isolated
         g = load_edge_list(path)
         h = np.eye(4)
-        got = aggregate_gcn(g, h[[1]], np.array([[0]]), np.array([1]), np.array([1]))
+        got = aggregate_gcn(g, None, h[[1]], np.array([[0]]), np.array([1]), None, np.array([1]))
         assert np.array_equal(got[0], h[1])  # 1/sqrt(1*1) weight
 
 
@@ -111,7 +111,8 @@ class TestAggregateGspool:
         w_pool = rng.normal(size=(4, 4))
         b = rng.normal(size=4)
         h = rng.normal(size=(1, 4))
-        got = aggregate_gspool(h, np.array([[0]]), w_pool, b)
+        lw = LayerWeights(W=None, W_pool=w_pool, b=b)
+        got = aggregate_gspool(None, lw, h, np.array([[0]]), None, None, None)
         assert np.allclose(got[0], np.maximum(w_pool @ h[0] + b, 0.0))
 
     def test_permutation_invariance(self):
@@ -119,8 +120,9 @@ class TestAggregateGspool:
         w_pool = rng.normal(size=(6, 6))
         b = rng.normal(size=6)
         h = rng.normal(size=(5, 6))
-        base = aggregate_gspool(h, np.array([[0, 1, 2, 3, 4]]), w_pool, b)
-        shuffled = aggregate_gspool(h, np.array([[4, 2, 0, 3, 1]]), w_pool, b)
+        lw = LayerWeights(W=None, W_pool=w_pool, b=b)
+        base = aggregate_gspool(None, lw, h, np.array([[0, 1, 2, 3, 4]]), None, None, None)
+        shuffled = aggregate_gspool(None, lw, h, np.array([[4, 2, 0, 3, 1]]), None, None, None)
         assert np.array_equal(base, shuffled)
 
     def test_max_dominates(self):
@@ -128,7 +130,8 @@ class TestAggregateGspool:
         w_pool = np.eye(3)
         b = np.zeros(3)
         h = np.array([[5.0, -1.0, 0.0], [1.0, 2.0, -4.0]])
-        got = aggregate_gspool(h, np.array([[0, 1]]), w_pool, b)
+        lw = LayerWeights(W=None, W_pool=w_pool, b=b)
+        got = aggregate_gspool(None, lw, h, np.array([[0, 1]]), None, None, None)
         assert np.array_equal(got, [[5.0, 2.0, 0.0]])
 
 
@@ -140,7 +143,8 @@ class TestAggregateGgcn:
         h_v = rng.normal(size=(2, 4))
         h = rng.normal(size=(3, 4))
         idx = np.array([[0, 1, 2], [2, 2, 0]])
-        got = aggregate_ggcn(h, idx, h_v, w_h, w_c)
+        lw = LayerWeights(W=None, W_H=w_h, W_C=w_c)
+        got = aggregate_ggcn(None, lw, h, idx, None, h_v, None)
         for f in range(2):
             want = np.zeros(4)
             for row in h[idx[f]]:
@@ -154,8 +158,9 @@ class TestAggregateGgcn:
         w_h, w_c = rng.normal(size=(4, 4)), rng.normal(size=(4, 4))
         h_v = rng.normal(size=(1, 4))
         row = rng.normal(size=(1, 4))
-        single = aggregate_ggcn(row, np.array([[0]]), h_v, w_h, w_c)
-        double = aggregate_ggcn(row, np.array([[0, 0]]), h_v, w_h, w_c)
+        lw = LayerWeights(W=None, W_H=w_h, W_C=w_c)
+        single = aggregate_ggcn(None, lw, row, np.array([[0]]), None, h_v, None)
+        double = aggregate_ggcn(None, lw, row, np.array([[0, 0]]), None, h_v, None)
         assert np.max(np.abs(double - 2 * single)) < 1e-12
 
 
@@ -173,7 +178,7 @@ class TestAggregateGat:
         lw = self._weights(rng, heads, hd, din)
         h_v = rng.normal(size=(1, din))
         h = rng.normal(size=(s, din))
-        got = aggregate_gat(h, np.arange(s)[None, :], h_v, lw)
+        got = aggregate_gat(None, lw, h, np.arange(s)[None, :], None, h_v, None)
         parts = []
         for w_att, a_att in zip(lw.W_att, lw.a_att):
             pv = w_att @ h_v[0]
@@ -193,7 +198,8 @@ class TestAggregateGat:
         # unit-vector features make the single head's output its attention weights
         rng = np.random.default_rng(6)
         lw = self._weights(rng, 1, 4, 7)
-        alpha = aggregate_gat(np.eye(7), np.arange(7)[None, :], rng.normal(size=(1, 7)), lw)[0]
+        h_v = rng.normal(size=(1, 7))
+        alpha = aggregate_gat(None, lw, np.eye(7), np.arange(7)[None, :], None, h_v, None)[0]
         assert alpha.shape == (7,)
         assert np.all(alpha > 0)
         assert abs(alpha.sum() - 1.0) < 1e-12
@@ -201,7 +207,8 @@ class TestAggregateGat:
     def test_uniform_scores_give_uniform_weights(self):
         # zero scoring vector makes every score zero, so attention is 1/s
         lw = LayerWeights(W=None, W_att=[np.eye(4)], a_att=[np.zeros(8)])
-        alpha = aggregate_gat(np.eye(4), np.arange(4)[None, :], np.ones((1, 4)), lw)[0]
+        h_v = np.ones((1, 4))
+        alpha = aggregate_gat(None, lw, np.eye(4), np.arange(4)[None, :], None, h_v, None)[0]
         assert np.allclose(alpha, 0.25)
 
     @pytest.mark.parametrize("block_size", [1, 4], ids=["dense", "compressed"])
@@ -214,6 +221,24 @@ class TestAggregateGat:
             dense = to_dense(w_att) if block_size > 1 else w_att
             assert np.max(np.abs(c - dense.T @ a_att[:8])) <= 1e-12
             assert np.max(np.abs(e - dense.T @ a_att[8:])) <= 1e-12
+
+
+class TestAggregateRows:
+    @pytest.mark.parametrize("block_size", [1, 4], ids=["dense", "compressed"])
+    @pytest.mark.parametrize("variant", ["gcn", "gspool", "ggcn", "gat"])
+    def test_a_subset_of_frontier_rows_gives_those_rows(self, variant, block_size):
+        # each frontier row depends only on its own inputs, so rows may be split freely
+        g, cfg = _graph_and_config(variant, block_size=block_size, samples=(9, 2))
+        lw = GnnModel(cfg, random_weights(cfg, seed=37)).layers[0]
+        samples = np.random.default_rng(41).integers(0, g.num_nodes, size=(12, 9))
+        u, idx = np.unique(samples, return_inverse=True)
+        idx = idx.reshape(samples.shape)
+        v = np.arange(12)
+        h_u, h_v = g.features[u], g.features[v]
+        aggregate = getattr(gnn, f"aggregate_{variant}")
+        full = aggregate(g, lw, h_u, idx, u, h_v, v)
+        for r in (np.array([3]), np.array([11, 0, 5]), np.arange(1, 12, 2)):
+            assert np.array_equal(aggregate(g, lw, h_u, idx[r], u, h_v[r], v[r]), full[r])
 
 
 class TestCombine:
@@ -495,9 +520,33 @@ class TestForward:
             with pytest.raises(InternalConsistencyError):
                 forward(model, g, list(range(20)), seed=31)
 
+    @pytest.mark.parametrize("variant", ["gcn", "gspool", "ggcn", "gat"])
+    def test_layers_call_the_module_attributes(self, variant, monkeypatch):
+        # a traced run swaps these attributes for wrappers, and reads W from combine's args
+        g, cfg = _graph_and_config(variant)
+        model = GnnModel(cfg, random_weights(cfg, seed=7))
+        calls = []
+
+        def counting(name):
+            fn = getattr(gnn, name)
+
+            def wrapper(*args):
+                calls.append((name, args))
+                return fn(*args)
+
+            return wrapper
+
+        for name in ("combine", *(f"aggregate_{v.value}" for v in Variant)):
+            monkeypatch.setattr(gnn, name, counting(name))
+        forward(model, g, [0, 7], seed=2)
+        assert cfg.num_layers == 2
+        assert [name for name, _ in calls] == [f"aggregate_{variant}", "combine"] * 2
+        for lw, (_, args) in zip(model.layers, calls[1::2]):
+            assert args[3] is lw.W
+
     def test_out_of_range_batch_node_rejected(self):
         g, cfg = _graph_and_config("gcn")
         model = GnnModel(cfg, random_weights(cfg, seed=0))
-        for batch in ([0, 20], [-1], []):
+        for batch in ([0, 20], [-1], [], [1.5], [True], [1.0]):
             with pytest.raises(SchemaError):
                 forward(model, g, batch, seed=0)
