@@ -13,7 +13,9 @@ h_v, v), so every layer runs one ``aggregate_<variant>`` and one ``combine``:
           heads concatenated;                          combine Elu(W a_v)
 
 Neighbor samples are drawn with replacement, GraphSAGE style, and the
-per-node sample seed is derived from (batch seed, layer, node).  ``forward``
+per-node sample seed is derived from (batch seed, layer, node).  Draws
+repeat, so every aggregation folds over a row's distinct samples in
+ascending order, each term weighted by its draw count.  ``forward``
 evaluates a batch layer by layer (GraphSAGE minibatch scheme), so each
 weight multiplies each distinct node that needs it once per layer, and
 every output row is bit-identical whatever else is in the batch.
@@ -39,7 +41,7 @@ import numpy as np
 
 from .circulant import BlockCirculantMatrix, bc_matvec, new_random, require_power_of_two, to_dense
 from .errors import InternalConsistencyError, SchemaError
-from .graph import Graph, degrees, sample_neighbors
+from .graph import Graph, sample_neighbors
 
 
 class Variant(str, Enum):
@@ -329,31 +331,61 @@ def densify_weights(layers: list[LayerWeights]) -> list[LayerWeights]:
 # Every aggregation takes (g, lw, h_u, idx, u, h_v, v) and reads its own
 # weights from the layer's ``lw``.  Row i of ``h_u`` belongs to sampled node
 # u[i], row f of ``h_v`` to frontier node v[f], and idx[f, s] is the h_u row
-# of v[f]'s s-th sample.  Results are reduced over the samples one column of
-# ``idx`` at a time, in sample order, so no (frontier, samples, dim) array is
-# ever built.
+# of v[f]'s s-th sample.  Each row is reduced over its distinct samples in
+# ascending order, each term weighted by its draw count, one slot at a time,
+# so no (frontier, samples, dim) array is ever built.
 
 
-def _over_samples(op, idx: np.ndarray, term) -> np.ndarray:
-    """op-fold of term(s, idx[:, s]) over the samples, in sample order."""
-    return functools.reduce(op, (term(s, col) for s, col in enumerate(idx.T)))
+def _distinct_samples(idx: np.ndarray):
+    """Run-length encode each row of idx into (cols, counts, live), each (F, K).
+
+    Row f's k distinct samples are cols[f, :k], ascending, drawn counts[f, :k]
+    times; ``live`` marks those k slots, and K is the batch's largest k.
+    """
+    ordered = np.sort(idx, axis=1)
+    first = np.ones(ordered.shape, dtype=bool)
+    first[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    at = (np.arange(len(ordered))[:, None], np.cumsum(first, axis=1) - 1)  # each draw's slot
+    cols = np.zeros((len(ordered), at[1][:, -1].max() + 1), dtype=ordered.dtype)
+    counts = np.zeros(cols.shape, dtype=np.int64)
+    cols[at] = ordered  # a slot's draws all write the same node
+    np.add.at(counts, at, 1)
+    return cols, counts, counts > 0
+
+
+def _over_samples(op, live: np.ndarray, term) -> np.ndarray:
+    """op-fold of term(s, rows) over the slots s; step s takes only the rows live at s.
+
+    The first term is the accumulator the fold writes into, so it must be a
+    fresh array, never a view of an input: index by ``rows``, an index array.
+    """
+    acc = term(0, np.arange(len(live)))
+    for s in range(1, live.shape[1]):
+        rows = np.flatnonzero(live[:, s])
+        acc[rows] = op(acc[rows], term(s, rows))
+    return acc
 
 
 def aggregate_gcn(g: Graph, lw: LayerWeights, h_u, idx: np.ndarray, u, h_v, v) -> np.ndarray:
     """Degree-normalized sum: row f is sum_s h_u[idx[f, s]] / sqrt(deg(u_s) deg(v_f)).
 
     Degrees come from the full graph; zero degrees count as one so isolated
-    nodes (which sample themselves) stay well defined.
+    nodes (which sample themselves) stay well defined.  A sample drawn c
+    times adds (h_u / norm) * c.
     """
-    deg = np.maximum(degrees(g), 1)
-    norm = np.sqrt(deg[u][idx] * deg[v][:, None])
-    return _over_samples(np.add, idx, lambda s, col: h_u[col] / norm[:, s, None])
+    deg_u, deg_v = (np.maximum(g.csr_offsets[n + 1] - g.csr_offsets[n], 1) for n in (u, v))
+    cols, counts, live = _distinct_samples(idx)
+    norm = np.sqrt(deg_u[cols] * deg_v[:, None])
+    return _over_samples(
+        np.add, live, lambda s, r: (h_u[cols[r, s]] / norm[r, s, None]) * counts[r, s, None]
+    )
 
 
 def aggregate_gspool(g: Graph, lw: LayerWeights, h_u, idx: np.ndarray, u, h_v, v) -> np.ndarray:
-    """Element-wise max over the samples of Relu(W_pool h_u + b); order independent."""
+    """Element-wise max over the samples of Relu(W_pool h_u + b); order and repeats ignored."""
     pooled = activation("relu", matvec(lw.W_pool, h_u) + lw.b)
-    return _over_samples(np.maximum, idx, lambda s, col: pooled[col])
+    cols, _, live = _distinct_samples(idx)
+    return _over_samples(np.maximum, live, lambda s, r: pooled[cols[r, s]])
 
 
 def aggregate_ggcn(g: Graph, lw: LayerWeights, h_u, idx: np.ndarray, u, h_v, v) -> np.ndarray:
@@ -361,15 +393,20 @@ def aggregate_ggcn(g: Graph, lw: LayerWeights, h_u, idx: np.ndarray, u, h_v, v) 
 
     The gate dimension equals the feature dimension, so the sigmoid output
     multiplies h_u element-wise.  W_H runs once per distinct sampled node
-    and W_C once per frontier node.
+    and W_C once per frontier node; gate * h_u is taken once per distinct
+    sample and multiplied by its draw count.
     """
     neighbor = matvec(lw.W_H, h_u)
     center = matvec(lw.W_C, h_v)
     if neighbor.shape != h_u.shape:
         raise SchemaError("ggcn gate dimension must equal the feature dimension")
-    return _over_samples(
-        np.add, idx, lambda s, col: activation("sigmoid", neighbor[col] + center) * h_u[col]
-    )
+    cols, counts, live = _distinct_samples(idx)
+
+    def term(s, r):
+        col = cols[r, s]
+        return activation("sigmoid", neighbor[col] + center[r]) * h_u[col] * counts[r, s, None]
+
+    return _over_samples(np.add, live, term)
 
 
 def aggregate_gat(g: Graph, lw: LayerWeights, h_u, idx: np.ndarray, u, h_v, v) -> np.ndarray:
@@ -379,18 +416,20 @@ def aggregate_gat(g: Graph, lw: LayerWeights, h_u, idx: np.ndarray, u, h_v, v) -
     softmax-normalized over the samples; the attention weights then mix the
     raw neighbor features h_s, and each head contributes a vector of the
     input width.  Each score is computed as h_v @ c + h_s @ e with the
-    head's ``attention_folds``, so no W_att product runs.
+    head's ``attention_folds``, so no W_att product runs.  A sample drawn c
+    times enters the softmax and the mix once, weighted by c.
     """
+    cols, counts, live = _distinct_samples(idx)
     heads = []
     for c, e in lw.attention_folds:
         # per-row products and explicit folds: a gemv or numpy reduction over
         # many rows may sum in an order that depends on their number and layout
         center = np.matmul(h_v[:, None, :], c)[:, 0]
         neighbor = np.matmul(h_u[:, None, :], e)[:, 0]
-        scores = activation("leaky_relu", center[:, None] + neighbor[idx])
-        weights = np.exp(scores - scores.max(axis=1, keepdims=True))
-        alpha = weights / _over_samples(np.add, idx, lambda s, col: weights[:, s, None])
-        heads.append(_over_samples(np.add, idx, lambda s, col: alpha[:, s, None] * h_u[col]))
+        scores = np.where(live, activation("leaky_relu", center[:, None] + neighbor[cols]), -np.inf)
+        weights = np.exp(scores - scores.max(axis=1, keepdims=True)) * counts
+        alpha = weights / _over_samples(np.add, live, lambda s, r: weights[r, s, None])
+        heads.append(_over_samples(np.add, live, lambda s, r: alpha[r, s, None] * h_u[cols[r, s]]))
     return np.concatenate(heads, axis=-1)
 
 

@@ -40,6 +40,8 @@ from circgnn import (
 from circgnn import gnn
 from circgnn.graph import degrees
 
+import aggregation_oracle
+
 
 class TestActivation:
     def test_relu(self):
@@ -239,6 +241,65 @@ class TestAggregateRows:
         full = aggregate(g, lw, h_u, idx, u, h_v, v)
         for r in (np.array([3]), np.array([11, 0, 5]), np.arange(1, 12, 2)):
             assert np.array_equal(aggregate(g, lw, h_u, idx[r], u, h_v[r], v[r]), full[r])
+
+
+def _repeating_layer_inputs(variant, block_size):
+    # 12 frontier rows of 25 samples, row f drawn from its own widths[f] nodes,
+    # so samples repeat and the rows' distinct counts and smallest samples differ
+    g, cfg = _graph_and_config(variant, block_size=block_size, samples=(25, 2))
+    lw = GnnModel(cfg, random_weights(cfg, seed=43)).layers[0]
+    rng = np.random.default_rng(47)
+    widths = [1, 2, 3, 4, 5, 6, 8, 10, 13, 16, 20, 20]
+    samples = np.stack([rng.choice(rng.choice(20, w, replace=False), 25) for w in widths])
+    u, idx = np.unique(samples, return_inverse=True)
+    v = rng.permutation(g.num_nodes)[:12]
+    return g, lw, g.features[u], idx.reshape(samples.shape), u, g.features[v], v
+
+
+class TestDistinctSampleFold:
+    @given(
+        data=st.data(),
+        rows=st.integers(1, 8),
+        samples=st.integers(1, 30),
+        nodes=st.integers(1, 12),
+    )
+    def test_encoding_rebuilds_each_row(self, data, rows, samples, nodes):
+        row = st.lists(st.integers(0, nodes - 1), min_size=samples, max_size=samples)
+        idx = np.array(data.draw(st.lists(row, min_size=rows, max_size=rows)))
+        cols, counts, live = gnn._distinct_samples(idx)
+        k = live.sum(axis=1)
+        assert cols.shape == counts.shape == live.shape == (rows, k.max())
+        for f in range(rows):
+            assert np.array_equal(live[f], np.arange(k.max()) < k[f])  # a prefix
+            assert np.all(np.diff(cols[f, : k[f]]) > 0)  # strictly ascending
+            assert counts[f, : k[f]].sum() == samples and np.all(counts[f, k[f] :] == 0)
+            assert np.array_equal(np.repeat(cols[f, : k[f]], counts[f, : k[f]]), np.sort(idx[f]))
+
+    @pytest.mark.parametrize("block_size", [1, 4], ids=["dense", "compressed"])
+    @pytest.mark.parametrize("variant", ["gcn", "gspool", "ggcn", "gat"])
+    def test_equals_the_sample_order_fold(self, variant, block_size):
+        args = _repeating_layer_inputs(variant, block_size)
+        got = getattr(gnn, f"aggregate_{variant}")(*args)
+        want = getattr(aggregation_oracle, f"aggregate_{variant}")(*args)
+        assert got.shape == want.shape
+        if variant == "gspool":
+            assert np.array_equal(got, want)  # a max ignores order and repeats
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("variant", ["gcn", "gspool", "ggcn", "gat"])
+    def test_read_only_inputs_are_never_written(self, variant):
+        # a fold that accumulated into a view of its inputs would raise here
+        g, lw, h_u, idx, u, h_v, v = _repeating_layer_inputs(variant, 1)
+        want = getattr(gnn, f"aggregate_{variant}")(g, lw, h_u, idx, u, h_v, v)
+        arrays = [h_u, idx, u, h_v, v, lw.W_pool, lw.b, lw.W_H, lw.W_C]
+        arrays += [*(lw.W_att or ()), *(lw.a_att or ())]
+        arrays += [x for fold in (lw.attention_folds if lw.W_att else ()) for x in fold]
+        for x in arrays:
+            if x is not None:
+                x.setflags(write=False)
+        got = getattr(gnn, f"aggregate_{variant}")(g, lw, h_u, idx, u, h_v, v)
+        assert np.array_equal(got, want)
 
 
 class TestCombine:
