@@ -332,38 +332,35 @@ def densify_weights(layers: list[LayerWeights]) -> list[LayerWeights]:
 # weights from the layer's ``lw``.  Row i of ``h_u`` belongs to sampled node
 # u[i], row f of ``h_v`` to frontier node v[f], and idx[f, s] is the h_u row
 # of v[f]'s s-th sample.  Each row is reduced over its distinct samples in
-# ascending order, each term weighted by its draw count, one slot at a time,
-# so no (frontier, samples, dim) array is ever built.
+# ascending order, each term weighted by its draw count, one slot at a time
+# and in place over the rows that have that slot, so no (frontier, samples,
+# dim) array is ever built.
 
 
 def _distinct_samples(idx: np.ndarray):
-    """Run-length encode each row of idx into (cols, counts, live), each (F, K).
+    """Run-length encode the rows of idx, most distinct samples first: (order, cols, counts).
 
-    Row f's k distinct samples are cols[f, :k], ascending, drawn counts[f, :k]
-    times; ``live`` marks those k slots, and K is the batch's largest k.
+    Row i of the (F, K) cols and counts is row order[i] of idx: its distinct
+    samples, ascending, with their draw counts, then slots of count 0.
     """
     ordered = np.sort(idx, axis=1)
     first = np.ones(ordered.shape, dtype=bool)
     first[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    order = np.argsort(-first.sum(axis=1), kind="stable")
+    ordered, first = ordered[order], first[order]
     at = (np.arange(len(ordered))[:, None], np.cumsum(first, axis=1) - 1)  # each draw's slot
-    cols = np.zeros((len(ordered), at[1][:, -1].max() + 1), dtype=ordered.dtype)
-    counts = np.zeros(cols.shape, dtype=np.int64)
+    cols, counts = np.zeros((2, len(ordered), at[1][0, -1] + 1), dtype=np.int64)
     cols[at] = ordered  # a slot's draws all write the same node
     np.add.at(counts, at, 1)
-    return cols, counts, counts > 0
+    return order, cols, counts
 
 
-def _over_samples(op, live: np.ndarray, term) -> np.ndarray:
-    """op-fold of term(s, rows) over the slots s; step s takes only the rows live at s.
-
-    The first term is the accumulator the fold writes into, so it must be a
-    fresh array, never a view of an input: index by ``rows``, an index array.
-    """
-    acc = term(0, np.arange(len(live)))
-    for s in range(1, live.shape[1]):
-        rows = np.flatnonzero(live[:, s])
-        acc[rows] = op(acc[rows], term(s, rows))
-    return acc
+def _over_samples(op, order: np.ndarray, counts: np.ndarray, term) -> np.ndarray:
+    """op-fold of term(s, m) over the slots s, rows :m live at s; rows return in idx's order."""
+    acc = np.array(term(0, len(counts)))  # a copy: the fold never writes into a view of an input
+    for s, m in enumerate(np.count_nonzero(counts, axis=0).tolist()[1:], 1):
+        op(acc[:m], term(s, m), out=acc[:m])
+    return acc[np.argsort(order)]
 
 
 def aggregate_gcn(g: Graph, lw: LayerWeights, h_u, idx: np.ndarray, u, h_v, v) -> np.ndarray:
@@ -371,21 +368,19 @@ def aggregate_gcn(g: Graph, lw: LayerWeights, h_u, idx: np.ndarray, u, h_v, v) -
 
     Degrees come from the full graph; zero degrees count as one so isolated
     nodes (which sample themselves) stay well defined.  A sample drawn c
-    times adds (h_u / norm) * c.
+    times adds h_u / (norm / c): for c = 1 that is the sample-order term.
     """
     deg_u, deg_v = (np.maximum(g.csr_offsets[n + 1] - g.csr_offsets[n], 1) for n in (u, v))
-    cols, counts, live = _distinct_samples(idx)
-    norm = np.sqrt(deg_u[cols] * deg_v[:, None])
-    return _over_samples(
-        np.add, live, lambda s, r: (h_u[cols[r, s]] / norm[r, s, None]) * counts[r, s, None]
-    )
+    order, cols, counts = _distinct_samples(idx)
+    norm = np.sqrt(deg_u[cols] * deg_v[order, None]) / np.maximum(counts, 1)
+    return _over_samples(np.add, order, counts, lambda s, m: h_u[cols[:m, s]] / norm[:m, s, None])
 
 
 def aggregate_gspool(g: Graph, lw: LayerWeights, h_u, idx: np.ndarray, u, h_v, v) -> np.ndarray:
     """Element-wise max over the samples of Relu(W_pool h_u + b); order and repeats ignored."""
     pooled = activation("relu", matvec(lw.W_pool, h_u) + lw.b)
-    cols, _, live = _distinct_samples(idx)
-    return _over_samples(np.maximum, live, lambda s, r: pooled[cols[r, s]])
+    order, cols, counts = _distinct_samples(idx)
+    return _over_samples(np.maximum, order, counts, lambda s, m: pooled[cols[:m, s]])
 
 
 def aggregate_ggcn(g: Graph, lw: LayerWeights, h_u, idx: np.ndarray, u, h_v, v) -> np.ndarray:
@@ -393,20 +388,15 @@ def aggregate_ggcn(g: Graph, lw: LayerWeights, h_u, idx: np.ndarray, u, h_v, v) 
 
     The gate dimension equals the feature dimension, so the sigmoid output
     multiplies h_u element-wise.  W_H runs once per distinct sampled node
-    and W_C once per frontier node; gate * h_u is taken once per distinct
-    sample and multiplied by its draw count.
+    and W_C once per frontier node.
     """
+    order, cols, counts = _distinct_samples(idx)
     neighbor = matvec(lw.W_H, h_u)
-    center = matvec(lw.W_C, h_v)
+    center = matvec(lw.W_C, h_v[order])  # rows in encoded order
     if neighbor.shape != h_u.shape:
         raise SchemaError("ggcn gate dimension must equal the feature dimension")
-    cols, counts, live = _distinct_samples(idx)
-
-    def term(s, r):
-        col = cols[r, s]
-        return activation("sigmoid", neighbor[col] + center[r]) * h_u[col] * counts[r, s, None]
-
-    return _over_samples(np.add, live, term)
+    return _over_samples(np.add, order, counts, lambda s, m: activation(
+        "sigmoid", neighbor[cols[:m, s]] + center[:m]) * h_u[cols[:m, s]] * counts[:m, s, None])
 
 
 def aggregate_gat(g: Graph, lw: LayerWeights, h_u, idx: np.ndarray, u, h_v, v) -> np.ndarray:
@@ -416,20 +406,22 @@ def aggregate_gat(g: Graph, lw: LayerWeights, h_u, idx: np.ndarray, u, h_v, v) -
     softmax-normalized over the samples; the attention weights then mix the
     raw neighbor features h_s, and each head contributes a vector of the
     input width.  Each score is computed as h_v @ c + h_s @ e with the
-    head's ``attention_folds``, so no W_att product runs.  A sample drawn c
-    times enters the softmax and the mix once, weighted by c.
+    head's ``attention_folds``, so no W_att product runs.
     """
-    cols, counts, live = _distinct_samples(idx)
+    order, cols, counts = _distinct_samples(idx)
     heads = []
     for c, e in lw.attention_folds:
         # per-row products and explicit folds: a gemv or numpy reduction over
         # many rows may sum in an order that depends on their number and layout
-        center = np.matmul(h_v[:, None, :], c)[:, 0]
+        center = np.matmul(h_v[order, None, :], c)[:, 0]
         neighbor = np.matmul(h_u[:, None, :], e)[:, 0]
-        scores = np.where(live, activation("leaky_relu", center[:, None] + neighbor[cols]), -np.inf)
+        scores = activation("leaky_relu", center[:, None] + neighbor[cols])
+        scores[counts == 0] = -np.inf  # empty slots; scores is a fresh array
         weights = np.exp(scores - scores.max(axis=1, keepdims=True)) * counts
-        alpha = weights / _over_samples(np.add, live, lambda s, r: weights[r, s, None])
-        heads.append(_over_samples(np.add, live, lambda s, r: alpha[r, s, None] * h_u[cols[r, s]]))
+        total = _over_samples(np.add, order, counts, lambda s, m: weights[:m, s, None])
+        alpha = weights / total[order]
+        heads.append(_over_samples(
+            np.add, order, counts, lambda s, m: alpha[:m, s, None] * h_u[cols[:m, s]]))
     return np.concatenate(heads, axis=-1)
 
 

@@ -266,14 +266,16 @@ class TestDistinctSampleFold:
     def test_encoding_rebuilds_each_row(self, data, rows, samples, nodes):
         row = st.lists(st.integers(0, nodes - 1), min_size=samples, max_size=samples)
         idx = np.array(data.draw(st.lists(row, min_size=rows, max_size=rows)))
-        cols, counts, live = gnn._distinct_samples(idx)
-        k = live.sum(axis=1)
-        assert cols.shape == counts.shape == live.shape == (rows, k.max())
-        for f in range(rows):
-            assert np.array_equal(live[f], np.arange(k.max()) < k[f])  # a prefix
-            assert np.all(np.diff(cols[f, : k[f]]) > 0)  # strictly ascending
-            assert counts[f, : k[f]].sum() == samples and np.all(counts[f, k[f] :] == 0)
-            assert np.array_equal(np.repeat(cols[f, : k[f]], counts[f, : k[f]]), np.sort(idx[f]))
+        order, cols, counts = gnn._distinct_samples(idx)
+        k = np.count_nonzero(counts, axis=1)
+        assert cols.shape == counts.shape == (rows, k.max())
+        assert np.array_equal(np.sort(order), np.arange(rows))
+        assert np.all(np.diff(k) <= 0)  # most distinct samples first
+        for i, f in enumerate(order):
+            assert np.array_equal(counts[i] > 0, np.arange(k.max()) < k[i])  # a prefix
+            assert np.all(np.diff(cols[i, : k[i]]) > 0)  # strictly ascending
+            assert counts[i].sum() == samples
+            assert np.array_equal(np.repeat(cols[i, : k[i]], counts[i, : k[i]]), np.sort(idx[f]))
 
     @pytest.mark.parametrize("block_size", [1, 4], ids=["dense", "compressed"])
     @pytest.mark.parametrize("variant", ["gcn", "gspool", "ggcn", "gat"])
@@ -286,6 +288,22 @@ class TestDistinctSampleFold:
             assert np.array_equal(got, want)  # a max ignores order and repeats
         else:
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("variant", ["gcn", "gspool", "ggcn", "gat"])
+    def test_rows_of_ascending_distinct_samples_equal_the_sample_order_fold(self, variant):
+        # every count is 1 and the slots run in sample order, so each term and
+        # each partial sum is the sample-order fold's, bit for bit
+        g, lw, h_u, _, u, h_v, v = _repeating_layer_inputs(variant, 1)
+        rng = np.random.default_rng(53)
+        idx = np.sort([rng.choice(len(u), 8, replace=False) for _ in v], axis=1)
+        args = (g, lw, h_u, idx, u, h_v, v)
+        got = getattr(gnn, f"aggregate_{variant}")(*args)
+        assert np.array_equal(got, getattr(aggregation_oracle, f"aggregate_{variant}")(*args))
+
+    def test_gcn_doubles_a_sample_drawn_twice_exactly(self):
+        g, lw, h_u, idx, u, h_v, v = _repeating_layer_inputs("gcn", 1)
+        once = gnn.aggregate_gcn(g, lw, h_u, idx[:, :1], u, h_v, v)
+        assert np.array_equal(gnn.aggregate_gcn(g, lw, h_u, idx[:, [0, 0]], u, h_v, v), 2 * once)
 
     @pytest.mark.parametrize("variant", ["gcn", "gspool", "ggcn", "gat"])
     def test_read_only_inputs_are_never_written(self, variant):
