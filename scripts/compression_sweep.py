@@ -11,19 +11,18 @@ import dataclasses
 
 import numpy as np
 
-from circgnn import (
+from circgnn.circulant import compression_stats, project_to_block_circulant, to_dense
+from circgnn.gnn import (
+    VECTOR_SLOTS,
     GnnModel,
     GnnModelConfig,
     LayerWeights,
     Variant,
-    compression_stats,
     forward,
-    project_to_block_circulant,
+    map_slots,
     random_weights,
-    synthetic_graph,
-    to_dense,
 )
-from circgnn.gnn import VECTOR_SLOTS, map_slots
+from circgnn.graph import synthetic_graph
 
 
 def project_layers(layers, block_size):

@@ -8,8 +8,9 @@ the reference configurations those workloads are usually paired with.
 import argparse
 import time
 
-from circgnn import (
-    DATASET_STATS,
+from circgnn.graph import DATASET_STATS
+from circgnn.perfmodel import (
+    DSP_BUDGET,
     HardwareConfig,
     WorkloadLayer,
     WorkloadSpec,
@@ -18,7 +19,6 @@ from circgnn import (
     search_optimal,
     total_cycles,
 )
-from circgnn.perfmodel import DSP_BUDGET
 
 REFERENCE = {
     "cora": (18, 7, 6, 4, 1, 1),

@@ -131,6 +131,12 @@ class GnnModelConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "variant", Variant(self.variant))
+        if not isinstance(self.dims, (list, tuple)) or not all(
+            isinstance(d, (list, tuple)) and len(d) == 2 for d in self.dims
+        ):
+            raise SchemaError("dims must be a list of [in, out] pairs")
+        if not isinstance(self.sample_sizes, (list, tuple)):
+            raise SchemaError("sample_sizes must be a list with one integer per layer")
         object.__setattr__(self, "dims", tuple(tuple(d) for d in self.dims))
         object.__setattr__(self, "sample_sizes", tuple(self.sample_sizes))
         if not self.dims:
@@ -468,6 +474,8 @@ def forward(model: GnnModel, g: Graph, batch, seed: int) -> np.ndarray:
     if not inside.all():
         raise SchemaError(f"batch node {batch[~inside][0]} out of range [0, {g.num_nodes})")
     batch = batch.astype(np.int64)
+    if seed < 0:
+        raise SchemaError(f"seed {seed} must be non-negative")
 
     # frontier[k]: sorted nodes whose layer-k output is needed; samples[k]
     # holds the layer-(k + 1) samples of frontier[k + 1], one row per node

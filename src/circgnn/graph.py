@@ -167,11 +167,6 @@ def _load_feature_csv(path) -> np.ndarray:
     return np.vstack(rows)
 
 
-def degrees(g: Graph) -> np.ndarray:
-    """Out-degree of every node; sums to g.num_edges."""
-    return np.diff(g.csr_offsets)
-
-
 def sample_neighbors(g: Graph, v: int, sample_size: int, seed: int) -> np.ndarray:
     """Draw ``sample_size`` neighbors of v uniformly at random with replacement.
 

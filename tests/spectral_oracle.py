@@ -12,7 +12,7 @@ p*q inverse transforms here with the p of ``bc_matvec``.
 
 import numpy as np
 
-from circgnn import BlockCirculantMatrix, fft
+from circgnn.circulant import BlockCirculantMatrix, fft
 
 
 def bc_matvec_per_block(w: BlockCirculantMatrix, h) -> np.ndarray:

@@ -13,36 +13,39 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import circgnn
-from circgnn import (
-    CostCoefficients,
+from circgnn.circulant import (
+    bc_matvec,
+    compression_stats,
+    fft,
+    new_random,
+    op_counts,
+    reset_op_counts,
+    to_dense,
+)
+from circgnn.gnn import (
     GnnModel,
     GnnModelConfig,
+    Variant,
+    densify_weights,
+    forward,
+    random_weights,
+)
+from circgnn.graph import DATASET_STATS, synthetic_graph
+from circgnn.perfmodel import (
+    CostCoefficients,
     HardwareConfig,
     WorkloadLayer,
     WorkloadSpec,
-    bc_matvec,
-    compression_stats,
     cycle_fft,
     cycle_ifft,
     cycle_mac,
     cycle_vpu,
     default_coefficients,
-    densify_weights,
     dsp_usage,
-    forward,
-    new_random,
-    op_counts,
-    random_weights,
-    reset_op_counts,
     search_optimal,
-    synthetic_graph,
-    to_dense,
     total_cycles,
 )
-from circgnn.graph import DATASET_STATS
 from circgnn.profiler import Phase, profile_phase
-from circgnn.gnn import Variant
 from spectral_oracle import bc_matvec_per_block
 
 COEFFS = default_coefficients(128)
@@ -263,7 +266,7 @@ def test_criterion_9_property_suites(capsys):
     def roundtrip(log_n, seed):
         n = 1 << log_n
         x = np.random.default_rng(seed).normal(size=n)
-        assert np.max(np.abs(circgnn.fft(circgnn.fft(x), inverse=True) - x)) < 1e-9
+        assert np.max(np.abs(fft(fft(x), inverse=True) - x)) < 1e-9
 
     @given(rows=st.integers(1, 24), cols=st.integers(1, 24), seed=st.integers(0, 1000))
     @settings(max_examples=30, derandomize=True, deadline=None)

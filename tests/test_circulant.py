@@ -13,10 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circgnn import (
+from circgnn.circulant import (
     BlockCirculantMatrix,
-    InternalConsistencyError,
-    SchemaError,
     bc_matvec,
     compression_stats,
     fft,
@@ -24,10 +22,11 @@ from circgnn import (
     op_counts,
     precompute_spectral,
     project_to_block_circulant,
+    require_power_of_two,
     reset_op_counts,
     to_dense,
 )
-from circgnn.circulant import require_power_of_two
+from circgnn.errors import InternalConsistencyError, SchemaError
 from spectral_oracle import bc_matvec_per_block
 
 # --- oracles ----------------------------------------------------------------

@@ -17,17 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circgnn import (
-    BlockCirculantMatrix,
-    GnnModel,
-    GnnModelConfig,
-    Variant,
-    load_weights,
-    random_weights,
-    save_model_config,
-    save_weights,
-)
+from circgnn.circulant import BlockCirculantMatrix
 from circgnn.cli import build_parser, main
+from circgnn.gnn import GnnModel, GnnModelConfig, Variant, random_weights
+from circgnn.modelio import load_weights, save_model_config, save_weights
 
 DATA = Path(__file__).parent / "data"
 
@@ -106,6 +99,22 @@ class TestInfer:
         proc = run_cli(*infer_args(tmp_path / "r.json", extra=["--batch", "0,99"]))
         assert proc.returncode == 3
         assert "99 out of range" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_negative_seed_exits_3(self, tmp_path):
+        proc = run_cli(*infer_args(tmp_path / "r.json", seed=-1))
+        assert proc.returncode == 3
+        assert "seed -1 must be non-negative" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_dims_that_are_not_pairs_exit_3(self, tmp_path):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"variant": "gcn", "dims": [[4]], "sample_sizes": [2]}))
+        args = infer_args(tmp_path / "r.json")
+        args[args.index("--model") + 1] = model
+        proc = run_cli(*args)
+        assert proc.returncode == 3
+        assert "dims must be a list of [in, out] pairs" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("batch", ["-1", "0,18446744073709551616", "-99999999999999999999"])

@@ -10,13 +10,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circgnn import (
+from circgnn import gnn
+from circgnn.circulant import (
     BlockCirculantMatrix,
+    new_random,
+    op_counts,
+    reset_op_counts,
+    to_dense,
+)
+from circgnn.errors import InternalConsistencyError, SchemaError
+from circgnn.gnn import (
     GnnModel,
     GnnModelConfig,
-    InternalConsistencyError,
     LayerWeights,
-    SchemaError,
     Variant,
     activation,
     aggregate_gat,
@@ -27,20 +33,13 @@ from circgnn import (
     densify_weights,
     derived_seed,
     forward,
-    load_edge_list,
-    new_random,
-    op_counts,
     random_weights,
-    reset_op_counts,
-    sample_neighbors,
-    synthetic_graph,
-    to_dense,
-    weight_entry,
 )
-from circgnn import gnn
-from circgnn.graph import degrees
+from circgnn.graph import load_edge_list, sample_neighbors, synthetic_graph
+from circgnn.modelio import weight_entry
 
 import aggregation_oracle
+from aggregation_oracle import degrees
 
 
 class TestActivation:
@@ -548,6 +547,13 @@ class TestForward:
         a = forward(model, g, [0], seed=1)
         b = forward(model, g, [0], seed=2)
         assert not np.array_equal(a, b)
+
+    def test_negative_seed_rejected_before_sampling(self, monkeypatch):
+        g, cfg = _graph_and_config("gcn")
+        model = GnnModel(cfg, random_weights(cfg, seed=4))
+        monkeypatch.setattr(gnn, "sample_neighbors", None)  # any sampling call would fail
+        with pytest.raises(SchemaError, match="seed -1 must be non-negative"):
+            forward(model, g, [0], seed=-1)
 
     def test_feature_dim_mismatch_rejected(self):
         g, cfg = _graph_and_config("gcn")

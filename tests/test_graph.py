@@ -5,17 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circgnn import (
+from circgnn.errors import InputParseError, SchemaError
+from circgnn.graph import (
     DATASET_STATS,
     Graph,
     GraphStats,
-    InputParseError,
-    SchemaError,
     load_edge_list,
     sample_neighbors,
     synthetic_graph,
 )
-from circgnn.graph import degrees
+from aggregation_oracle import degrees
 
 
 def write_edges(tmp_path, text, name="edges.txt"):

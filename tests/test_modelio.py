@@ -5,19 +5,15 @@ import json
 import numpy as np
 import pytest
 
-from circgnn import (
-    BlockCirculantMatrix,
-    GnnModelConfig,
-    InputParseError,
-    SchemaError,
+from circgnn.circulant import BlockCirculantMatrix, new_random, to_dense
+from circgnn.errors import InputParseError, SchemaError
+from circgnn.gnn import GnnModelConfig, random_weights
+from circgnn.modelio import (
     load_model_config,
     load_weights,
-    new_random,
     parse_weight_entry,
-    random_weights,
     save_model_config,
     save_weights,
-    to_dense,
     weight_entry,
 )
 
@@ -45,6 +41,23 @@ class TestConfigIo:
         path.write_text(json.dumps({"variant": "gcn", "dims": [[4, 4]]}))
         with pytest.raises(SchemaError, match="sample_sizes"):
             load_model_config(path)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("dims", 4, "dims must be a list of [in, out] pairs"),
+            ("dims", [[4]], "dims must be a list of [in, out] pairs"),
+            ("sample_sizes", 2, "sample_sizes must be a list"),
+            ("dims", [["4", 4]], "dims, sample sizes, block_size and gat fields must be integers"),
+        ],
+    )
+    def test_malformed_shape_fields_are_named(self, tmp_path, field, value, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"variant": "gcn", "dims": [[4, 4]], "sample_sizes": [2],
+                                    field: value}))
+        with pytest.raises(SchemaError) as exc:
+            load_model_config(path)
+        assert message in str(exc.value)
 
     def test_invalid_json_is_parse_error(self, tmp_path):
         path = tmp_path / "bad.json"

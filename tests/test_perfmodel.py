@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circgnn import (
+from circgnn.circulant import new_random
+from circgnn.errors import InfeasibleError, SchemaError
+from circgnn.perfmodel import (
     CostCoefficients,
     HardwareConfig,
-    InfeasibleError,
-    SchemaError,
     Stage,
     WorkloadLayer,
     WorkloadSpec,
@@ -22,7 +22,6 @@ from circgnn import (
     default_coefficients,
     dsp_usage,
     layer_cycles,
-    new_random,
     search_optimal,
     total_cycles,
 )

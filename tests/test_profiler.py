@@ -4,16 +4,10 @@ import math
 
 import pytest
 
-from circgnn import (
-    DATASET_STATS,
-    GraphStats,
-    Phase,
-    SchemaError,
-    Variant,
-    compressed_flops,
-    profile_grid,
-    profile_phase,
-)
+from circgnn.errors import SchemaError
+from circgnn.gnn import Variant
+from circgnn.graph import DATASET_STATS, GraphStats
+from circgnn.profiler import Phase, compressed_flops, profile_grid, profile_phase
 
 REDDIT = DATASET_STATS["reddit"]
 SETUP = dict(in_dim=512, out_dim=512, samples=25)

@@ -4,7 +4,7 @@ import runpy
 import sys
 from pathlib import Path
 
-from circgnn import DATASET_STATS
+from circgnn.graph import DATASET_STATS
 
 SCRIPTS = Path(__file__).parent.parent / "scripts"
 
