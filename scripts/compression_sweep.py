@@ -8,10 +8,12 @@ Storage shrinks by n; the question this script answers is what that costs.
 
 import argparse
 import dataclasses
+import sys
 
 import numpy as np
 
 from circgnn.circulant import compression_stats, project_to_block_circulant, to_dense
+from circgnn.errors import CircGnnError
 from circgnn.gnn import (
     VECTOR_SLOTS,
     GnnModel,
@@ -75,4 +77,8 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except CircGnnError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(exc.exit_code)

@@ -9,6 +9,9 @@ Node features, when present, sit in a dense (num_nodes, feature_dim) array.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,8 +149,16 @@ def _content_lines(path, what: str):
 
 
 def _load_feature_csv(path) -> np.ndarray:
-    rows = []
-    width = None
+    """Parse a well-formed file in bulk; walk any other line by line, naming the bad line."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # loadtxt warns on an empty file
+            rows = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+        if np.isfinite(rows).all():
+            return rows
+    except (OSError, ValueError, UserWarning):  # UnicodeDecodeError is a ValueError
+        pass
+    rows, width = [], None
     for lineno, text in _content_lines(path, "features"):
         try:
             row = np.array(text.split(","), dtype=np.float64)
@@ -155,12 +166,9 @@ def _load_feature_csv(path) -> np.ndarray:
             raise InputParseError(f"{path}:{lineno}: non-numeric feature value") from exc
         if not np.isfinite(row).all():
             raise InputParseError(f"{path}:{lineno}: non-finite feature value")
-        if width is None:
-            width = row.size
-        elif row.size != width:
-            raise InputParseError(
-                f"{path}:{lineno}: row has {row.size} values, expected {width}"
-            )
+        width = row.size if width is None else width
+        if row.size != width:
+            raise InputParseError(f"{path}:{lineno}: row has {row.size} values, expected {width}")
         rows.append(row)
     if not rows:
         raise InputParseError(f"{path}: empty feature file")
@@ -181,6 +189,112 @@ def sample_neighbors(g: Graph, v: int, sample_size: int, seed: int) -> np.ndarra
         return np.full(sample_size, v, dtype=np.int64)
     rng = np.random.default_rng(seed)
     return nbrs[rng.integers(0, nbrs.size, size=sample_size)]
+
+
+# --- numpy's seeded streams, replayed for many seeds at once ------------------
+# Numpy integer arithmetic over all rows at once of what SeedSequence and
+# ``default_rng(seed).integers`` compute per seed: SeedSequence's hash-mix, PCG64's
+# seeding and XSL-RR output (O'Neill 2014), and numpy's draw below 2**32, Lemire's
+# multiply-shift (ACM TOMACS 2019) on each output's 32-bit halves, low half first.
+# NumPy does not promise these streams stay fixed (NEP 19); tests compare both paths.
+
+_M32 = 0xFFFFFFFF
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_DRAW_CHUNK = 2**18  # rows times outputs per pass of ``bounded_draws``: bounds its temporaries
+
+
+@functools.lru_cache(maxsize=16)
+def _hash_consts(init: int, mult: int, steps: int) -> np.ndarray:
+    """(steps + 1, 1) constants of SeedSequence's hash steps; step i uses rows i and i + 1."""
+    consts = itertools.accumulate(range(steps), lambda c, _: c * mult & _M32, initial=init)
+    return np.array(list(consts), dtype=np.uint32)[:, None]
+
+
+def _hash(value, consts):
+    value = (value ^ consts[:-1]) * consts[1:]
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    x = 0xCA01F9DD * x - 0x4973F715 * y
+    return x ^ x >> 16
+
+
+def _generate_state(pool: np.ndarray, count: int) -> np.ndarray:
+    """SeedSequence.generate_state(count, np.uint64) of each row's pool: (count, rows)."""
+    consts = _hash_consts(0x8B51F9DD, 0x58F38DED, 2 * count)
+    words = _hash(pool[np.arange(2 * count) % 4], consts).astype(np.uint64)
+    return words[0::2] | words[1::2] << 32
+
+
+def spawned_seeds(entropy: int, spawn_key: tuple, last) -> np.ndarray:
+    """Row i: SeedSequence(entropy, spawn_key=(*spawn_key, last[i])).generate_state(1, np.uint64)[0]
+
+    ``spawn_key`` must be nonempty and each last[i] lie in [0, 2**32).  numpy
+    mixes the shared words once; only last[i] is mixed per row.
+    """
+    shared = np.random.SeedSequence(entropy, spawn_key=tuple(spawn_key))
+    count = [(max(int(n).bit_length(), 1) + 31) // 32 for n in (entropy, *spawn_key)]
+    words = max(count[0], 4) + sum(count[1:])  # 32-bit entropy words mixed into shared.pool
+    consts = _hash_consts(0x43B0D7E5, 0x931E8875, 4 * words + 4)[4 * words:]
+    row_words = _hash(np.asarray(last, dtype=np.uint32), consts)
+    return _generate_state(_mix(shared.pool[:, None], row_words), 1)[0]
+
+
+@functools.lru_cache(maxsize=16)
+def _jump_consts(outputs: int) -> tuple:
+    """(high, low) uint64 halves of M^(k+1) and 1 + M + ... + M^(k+1), for k = 1..outputs."""
+    power, geometric, table = _PCG_MULT, 1 + _PCG_MULT, []
+    for _ in range(outputs):
+        power, geometric = power * _PCG_MULT % 2**128, (geometric * _PCG_MULT + 1) % 2**128
+        table.append([power >> 64, power & 2**64 - 1, geometric >> 64, geometric & 2**64 - 1])
+    return np.array(table, dtype=np.uint64).T.reshape(2, 2, -1)
+
+
+def _mul128(a, b):
+    """(a * b) mod 2**128 of (high, low) uint64 halves, the low product from 32-bit limbs."""
+    (a_hi, a_lo), (b_hi, b_lo) = a, b
+    x0, x1, y0, y1 = a_lo & _M32, a_lo >> 32, b_lo & _M32, b_lo >> 32
+    cross0, cross1 = x1 * y0, x0 * y1
+    carry = ((x0 * y0 >> 32) + (cross0 & _M32) + (cross1 & _M32)) >> 32
+    high = x1 * y1 + (cross0 >> 32) + (cross1 >> 32) + carry + a_lo * b_hi + a_hi * b_lo
+    return high, a_lo * b_lo
+
+
+def bounded_draws(seeds: np.ndarray, n: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row i is default_rng(seeds[i]).integers(0, n[i], size) unless flagged: (draws, flagged).
+
+    A row is flagged, its draws meaningless, if a draw would be rejected or
+    n[i] exceeds 2**32.  Every n[i] must be at least 1.
+    """
+    seeds, n = np.asarray(seeds, dtype=np.uint64), np.asarray(n, dtype=np.uint64)
+    outputs = (size + 1) // 2  # 64-bit PCG64 outputs per row
+    if len(seeds) * outputs > _DRAW_CHUNK:
+        step = max(1, _DRAW_CHUNK // outputs)
+        parts = [bounded_draws(seeds[i : i + step], n[i : i + step], size)
+                 for i in range(0, len(seeds), step)]
+        return tuple(np.concatenate(p) for p in zip(*parts))
+    # SeedSequence over each seed's words (a missing high word hashes as a zero
+    # one); a mixing round's hash steps are independent, so each is one operation
+    consts, words = _hash_consts(0x43B0D7E5, 0x931E8875, 16), np.zeros((4, len(seeds)), np.uint32)
+    words[0], words[1] = seeds & _M32, seeds >> 32
+    pool = _hash(words, consts[:5])
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = _mix(pool[dst], _hash(pool[src], consts[4 + 3 * src : 8 + 3 * src]))
+    # PCG64 takes 4 of its words (state high, low; sequence high, low), and
+    # output k (from 1) reads state M^(k+1) s + (1 + M + ... + M^(k+1)) inc
+    s_hi, s_lo, q_hi, q_lo = _generate_state(pool, 4)[:, :, None]
+    a_hi, a_lo = _mul128(_jump_consts(outputs)[0], (s_hi, s_lo))
+    b_hi, b_lo = _mul128(_jump_consts(outputs)[1], (q_hi << 1 | q_lo >> 63, q_lo << 1 | 1))
+    lo = a_lo + b_lo
+    hi = a_hi + b_hi + (lo < a_lo)
+    x, rot = hi ^ lo, hi >> 58
+    out = x >> rot | x << (64 - rot & 63)  # XSL-RR: rotate right by the top 6 state bits
+    halves = np.stack([out & _M32, out >> 32], axis=-1).reshape(len(seeds), -1)[:, :size]
+    m = halves * n[:, None]
+    rejected = (m & _M32) < (2**32 - n[:, None]) % n[:, None]
+    return (m >> 32).astype(np.int64), rejected.any(axis=1) | (n > 2**32)
 
 
 def synthetic_graph(num_nodes: int, avg_degree: float, feature_dim: int, seed: int) -> Graph:

@@ -43,16 +43,11 @@ def load_model_config(path) -> GnnModelConfig:
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: model config must be an object")
     ctx = str(path)
+    given = {key: _require(doc, key, ctx) for key in ("variant", "dims", "sample_sizes")}
+    given.update({k: doc[k] for k in ("block_size", "gat_heads", "gat_head_dim") if k in doc})
     try:
-        return GnnModelConfig(
-            variant=_require(doc, "variant", ctx),
-            dims=_require(doc, "dims", ctx),
-            sample_sizes=_require(doc, "sample_sizes", ctx),
-            block_size=doc.get("block_size", 1),
-            gat_heads=doc.get("gat_heads", 1),
-            gat_head_dim=doc.get("gat_head_dim", 0),
-        )
-    except (TypeError, ValueError) as exc:  # unknown Variant value, wrongly typed field
+        return GnnModelConfig(**given)
+    except (TypeError, ValueError, SchemaError) as exc:  # e.g. an unknown Variant value
         raise SchemaError(f"{ctx}: {exc}") from exc
 
 

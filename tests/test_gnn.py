@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,7 +36,14 @@ from circgnn.gnn import (
     forward,
     random_weights,
 )
-from circgnn.graph import load_edge_list, sample_neighbors, synthetic_graph
+from circgnn.graph import (
+    Graph,
+    bounded_draws,
+    load_edge_list,
+    sample_neighbors,
+    spawned_seeds,
+    synthetic_graph,
+)
 from circgnn.modelio import weight_entry
 
 import aggregation_oracle
@@ -346,6 +354,74 @@ class TestDerivedSeed:
         assert derived_seed(7, 1, 3) != derived_seed(8, 1, 3)
 
 
+def _sampling_graph():
+    # 40 nodes of degree 0 to 60, isolated and degree-1 nodes among them
+    rng = np.random.default_rng(3)
+    deg = np.concatenate([[0, 1, 0, 1, 2], rng.integers(0, 61, 35)])
+    offsets = np.concatenate([[0], np.cumsum(deg)])
+    return Graph(len(deg), offsets, rng.integers(0, len(deg), offsets[-1]), np.zeros((40, 0)))
+
+
+SAMPLING_GRAPH = _sampling_graph()
+
+
+class TestSampleFrontier:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.one_of(st.integers(0, 2**16), st.integers(0, 2**130)),
+        layer=st.one_of(st.integers(1, 3), st.integers(1, 2**34)),
+        nodes=st.sets(st.integers(0, 39), min_size=1, max_size=40),
+        size=st.integers(1, 64),
+    )
+    def test_vectorized_path_equals_the_scalar_one(self, seed, layer, nodes, size):
+        g, nodes = SAMPLING_GRAPH, np.array(sorted(nodes))
+        want = np.stack([sample_neighbors(g, int(v), size, derived_seed(seed, layer, int(v)))
+                         for v in nodes])
+        assert np.array_equal(spawned_seeds(seed, (layer,), nodes),
+                              [derived_seed(seed, layer, int(v)) for v in nodes])
+        deg = np.maximum(np.diff(g.csr_offsets)[nodes], 1)
+        flagged = bounded_draws(spawned_seeds(seed, (layer,), nodes), deg, size)[1]
+        scalar_calls = []
+
+        def scalar(g, v, *args):
+            scalar_calls.append(v)
+            return sample_neighbors(g, v, *args)
+
+        with mock.patch.object(gnn, "_VECTOR_SAMPLE_MIN", 1), \
+                mock.patch.object(gnn, "sample_neighbors", scalar):
+            got = gnn.sample_frontier(g, nodes, size, seed, layer)
+        assert np.array_equal(got, want)
+        assert scalar_calls == nodes[flagged].tolist()  # only flagged rows are redrawn
+
+    def test_small_frontiers_take_the_scalar_path(self, monkeypatch):
+        monkeypatch.setattr(gnn, "bounded_draws", None)  # any vectorized call would fail
+        nodes = np.arange(gnn._VECTOR_SAMPLE_MIN - 1)
+        got = gnn.sample_frontier(SAMPLING_GRAPH, nodes, 5, 9, 1)
+        assert np.array_equal(got, [sample_neighbors(SAMPLING_GRAPH, v, 5, derived_seed(9, 1, v))
+                                    for v in range(len(nodes))])
+
+    @pytest.mark.parametrize("variant", ["gcn", "gat"])
+    def test_flagged_rows_take_the_scalar_path_in_forward(self, monkeypatch, variant):
+        g, cfg = _graph_and_config(variant)
+        model = GnnModel(cfg, random_weights(cfg, seed=4))
+        batch = list(range(g.num_nodes))
+        monkeypatch.setattr(gnn, "_VECTOR_SAMPLE_MIN", 10**9)
+        want = forward(model, g, batch, seed=3)  # every row sampled by the scalar path
+        monkeypatch.undo()
+        forced = []
+
+        def flag_every_other_row(seeds, n, size):
+            draws, flagged = bounded_draws(seeds, n, size)
+            every_other = np.arange(len(seeds)) % 2 == 0
+            draws[every_other] = n[every_other, None] - 1 - draws[every_other]  # wrong draws
+            forced.append(len(seeds))
+            return draws, flagged | every_other
+
+        monkeypatch.setattr(gnn, "bounded_draws", flag_every_other_row)
+        assert np.array_equal(forward(model, g, batch, seed=3), want)
+        assert len(forced) == cfg.num_layers  # both layers took the vectorized path
+
+
 class TestWeightValidation:
     def test_config_dim_chaining(self):
         with pytest.raises(SchemaError):
@@ -405,6 +481,11 @@ class TestWeightValidation:
 
 
 class TestRandomWeights:
+    def test_negative_seed_rejected(self):
+        cfg = GnnModelConfig("gcn", ((4, 4),), (2,))
+        with pytest.raises(SchemaError, match="seed -1 must be non-negative"):
+            random_weights(cfg, -1)
+
     def test_draws_are_pinned(self):
         # sha256 of every slot and head, computed before the slot table existed;
         # benchmark inputs are drawn by random_weights and must not move

@@ -1,17 +1,22 @@
 """Edge-list loading, CSR adjacency, neighbor sampling."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circgnn import graph
 from circgnn.errors import InputParseError, SchemaError
 from circgnn.graph import (
     DATASET_STATS,
     Graph,
     GraphStats,
+    bounded_draws,
     load_edge_list,
     sample_neighbors,
+    spawned_seeds,
     synthetic_graph,
 )
 from aggregation_oracle import degrees
@@ -100,6 +105,33 @@ class TestLoader:
         g = load_edge_list(edges, feature_path=feats)
         assert g.feature_dim == 2
         assert np.array_equal(g.features, [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_well_formed_features_skip_the_line_walker(self, tmp_path, monkeypatch):
+        feats = tmp_path / "feats.csv"
+        feats.write_text("1.0,2\n-3.5,4e2\n")
+        monkeypatch.setattr(graph, "_content_lines", None)  # a walker call would fail
+        assert np.array_equal(graph._load_feature_csv(feats), [[1.0, 2.0], [-3.5, 400.0]])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(
+        st.lists(st.sampled_from(["0", "1", "-2.5", " 3 ", "1e3", "nan", "-inf", "", "x", "1_0",
+                                  "#1", "2 #c", "\t"]), min_size=1, max_size=3).map(",".join)
+        | st.sampled_from(["", "  ", "# note", "\x0c", "\ufeff1"]),
+        max_size=6,
+    ))
+    def test_bulk_feature_parse_matches_the_line_walker(self, tmp_path_factory, lines):
+        feats = tmp_path_factory.mktemp("feats") / "feats.csv"
+        feats.write_text("\n".join(lines) + "\n")
+
+        def outcome():
+            try:
+                return "ok", graph._load_feature_csv(feats).tolist()
+            except InputParseError as exc:
+                return "error", str(exc)
+
+        bulk = outcome()
+        with mock.patch.object(graph.np, "loadtxt", side_effect=ValueError):
+            assert outcome() == bulk  # the walker alone: same values or the same message
 
 
 class TestGraphStructure:
@@ -191,6 +223,51 @@ class TestSampling:
         leaf_counts = counts[1:]
         assert counts[0] == 0
         assert np.all(np.abs(leaf_counts - 5000) < 5 * 70)
+
+
+class TestVectorizedStreams:
+    @settings(max_examples=50, deadline=None)
+    @given(
+        entropy=st.one_of(st.integers(0, 2**40), st.integers(0, 2**200)),
+        key=st.lists(st.integers(0, 2**70), min_size=1, max_size=3),
+        last=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=20),
+    )
+    def test_spawned_seeds_match_seed_sequence(self, entropy, key, last):
+        want = [np.random.SeedSequence(entropy, spawn_key=(*key, v)).generate_state(1, np.uint64)[0]
+                for v in last]
+        assert np.array_equal(spawned_seeds(entropy, tuple(key), np.array(last)), want)
+
+    def test_bounded_draws_flag_exactly_the_rows_with_a_rejection(self):
+        # bounds in (2**31, 2**32) reject a 32-bit draw with probability up to 1/2
+        rng = np.random.default_rng(5)
+        seeds = rng.integers(0, 2**64, 400, dtype=np.uint64)
+        bounds = rng.integers(2**31 + 1, 2**32, 400)
+        size = 3
+        draws, flagged = bounded_draws(seeds, bounds, size)
+        assert 0.3 < flagged.mean() < 0.7
+        for seed, bound, row, flag in zip(seeds.tolist(), bounds.tolist(), draws, flagged):
+            raw = np.random.default_rng(seed).bit_generator.random_raw((size + 1) // 2)
+            halves = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=-1).ravel()[:size]  # low first
+            assert flag == ((halves * bound & 0xFFFFFFFF) < 2**32 % bound).any()
+            if not flag:
+                assert np.array_equal(row, np.random.default_rng(seed).integers(0, bound, size))
+
+    @pytest.mark.parametrize("bound", [1, 2, 3, 1000, 2**32])
+    def test_bounded_draws_at_edge_bounds(self, bound):
+        draws, flagged = bounded_draws(np.arange(50, dtype=np.uint64), np.full(50, bound), 7)
+        assert not flagged.any()
+        assert np.array_equal(draws, [np.random.default_rng(s).integers(0, bound, 7)
+                                      for s in range(50)])
+
+    def test_bounds_above_two_to_the_32_are_flagged(self):
+        assert bounded_draws(np.arange(4, dtype=np.uint64), np.full(4, 2**32 + 1), 5)[1].all()
+
+    def test_chunked_draws_equal_one_pass(self, monkeypatch):
+        seeds, bounds = np.arange(30, dtype=np.uint64), np.arange(1, 31)
+        whole = bounded_draws(seeds, bounds, 9)
+        monkeypatch.setattr(graph, "_DRAW_CHUNK", 11)
+        for got, want in zip(bounded_draws(seeds, bounds, 9), whole):
+            assert np.array_equal(got, want)
 
 
 class TestSynthetic:

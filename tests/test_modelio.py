@@ -59,6 +59,16 @@ class TestConfigIo:
             load_model_config(path)
         assert message in str(exc.value)
 
+    @pytest.mark.parametrize("field, value", [("dims", 4), ("sample_sizes", [0]), ("dims", [])])
+    def test_config_schema_errors_name_the_file(self, tmp_path, field, value):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"variant": "gcn", "dims": [[4, 4]], "sample_sizes": [2],
+                                    field: value}))
+        with pytest.raises(SchemaError) as exc:
+            load_model_config(path)
+        assert str(exc.value).startswith(f"{path}: ")
+        assert exc.value.exit_code == 3
+
     def test_invalid_json_is_parse_error(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{nope")

@@ -4,6 +4,8 @@ import runpy
 import sys
 from pathlib import Path
 
+import pytest
+
 from circgnn.graph import DATASET_STATS
 
 SCRIPTS = Path(__file__).parent.parent / "scripts"
@@ -21,6 +23,15 @@ def test_compression_sweep_prints_one_row_per_block_size(monkeypatch, capsys):
     rows = [row for row in map(str.split, lines) if row and row[0].isdigit()]
     assert [row[0] for row in rows] == ["2", "4"]
     assert [row[1] for row in rows] == ["2x", "4x"]
+
+
+def test_compression_sweep_rejects_a_negative_seed_with_exit_3(monkeypatch, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_script(monkeypatch, capsys, "compression_sweep.py", "--seed", "-1")
+    assert exc.value.code == 3
+    err = capsys.readouterr().err
+    assert "error: seed -1 must be non-negative" in err
+    assert "Traceback" not in err
 
 
 def test_search_datasets_prints_one_row_per_dataset(monkeypatch, capsys):
