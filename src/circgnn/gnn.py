@@ -460,7 +460,8 @@ def sample_frontier(g: Graph, nodes: np.ndarray, sample_size: int, seed: int, la
     ``_VECTOR_SAMPLE_MIN`` or more nodes below 2**32 are drawn in one pass, bit
     for bit; the rows it flags, and smaller frontiers, are drawn node by node.
     """
-    out, redo = np.repeat(nodes[:, None], sample_size, axis=1), range(len(nodes))
+    out = np.repeat(nodes[:, None], sample_size, axis=1)
+    redo = range(len(nodes))
     if len(nodes) >= _VECTOR_SAMPLE_MIN and nodes.max() < 2**32:
         start, end = g.csr_offsets[nodes], g.csr_offsets[nodes + 1]
         seeds = spawned_seeds(seed, (layer,), nodes)

@@ -150,15 +150,17 @@ def _content_lines(path, what: str):
 
 def _load_feature_csv(path) -> np.ndarray:
     """Parse a well-formed file in bulk; walk any other line by line, naming the bad line."""
+    # a handle, not a name: numpy would try .gz siblings, decompress and fetch URLs
     try:
-        with warnings.catch_warnings():
+        with open(path) as fh, warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)  # loadtxt warns on an empty file
-            rows = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+            rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
         if np.isfinite(rows).all():
             return rows
     except (OSError, ValueError, UserWarning):  # UnicodeDecodeError is a ValueError
         pass
-    rows, width = [], None
+    rows = []
+    width = None
     for lineno, text in _content_lines(path, "features"):
         try:
             row = np.array(text.split(","), dtype=np.float64)
@@ -166,9 +168,12 @@ def _load_feature_csv(path) -> np.ndarray:
             raise InputParseError(f"{path}:{lineno}: non-numeric feature value") from exc
         if not np.isfinite(row).all():
             raise InputParseError(f"{path}:{lineno}: non-finite feature value")
-        width = row.size if width is None else width
-        if row.size != width:
-            raise InputParseError(f"{path}:{lineno}: row has {row.size} values, expected {width}")
+        if width is None:
+            width = row.size
+        elif row.size != width:
+            raise InputParseError(
+                f"{path}:{lineno}: row has {row.size} values, expected {width}"
+            )
         rows.append(row)
     if not rows:
         raise InputParseError(f"{path}: empty feature file")
@@ -276,7 +281,8 @@ def bounded_draws(seeds: np.ndarray, n: np.ndarray, size: int) -> tuple[np.ndarr
         return tuple(np.concatenate(p) for p in zip(*parts))
     # SeedSequence over each seed's words (a missing high word hashes as a zero
     # one); a mixing round's hash steps are independent, so each is one operation
-    consts, words = _hash_consts(0x43B0D7E5, 0x931E8875, 16), np.zeros((4, len(seeds)), np.uint32)
+    consts = _hash_consts(0x43B0D7E5, 0x931E8875, 16)
+    words = np.zeros((4, len(seeds)), np.uint32)
     words[0], words[1] = seeds & _M32, seeds >> 32
     pool = _hash(words, consts[:5])
     for src in range(4):

@@ -1,5 +1,8 @@
 """Edge-list loading, CSR adjacency, neighbor sampling."""
 
+import gzip
+import io
+import urllib.request
 from unittest import mock
 
 import numpy as np
@@ -26,6 +29,20 @@ def write_edges(tmp_path, text, name="edges.txt"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def feature_outcomes(path):
+    """(bulk parse, line walker alone) outcome of loading path: ("ok", values) or ("error", message)."""
+
+    def outcome():
+        try:
+            return "ok", graph._load_feature_csv(path).tolist()
+        except InputParseError as exc:
+            return "error", str(exc)
+
+    bulk = outcome()
+    with mock.patch.object(graph.np, "loadtxt", side_effect=ValueError):
+        return bulk, outcome()
 
 
 class TestLoader:
@@ -122,16 +139,34 @@ class TestLoader:
     def test_bulk_feature_parse_matches_the_line_walker(self, tmp_path_factory, lines):
         feats = tmp_path_factory.mktemp("feats") / "feats.csv"
         feats.write_text("\n".join(lines) + "\n")
+        bulk, walker = feature_outcomes(feats)
+        assert bulk == walker  # same values or the same message
 
-        def outcome():
-            try:
-                return "ok", graph._load_feature_csv(feats).tolist()
-            except InputParseError as exc:
-                return "error", str(exc)
+    def test_gzip_features_are_not_decompressed(self, tmp_path):
+        feats = tmp_path / "feats.csv.gz"
+        feats.write_bytes(gzip.compress(b"1.0,2.0\n3.0,4.0\n"))
+        bulk, walker = feature_outcomes(feats)
+        assert bulk == walker and bulk[0] == "error"
 
-        bulk = outcome()
-        with mock.patch.object(graph.np, "loadtxt", side_effect=ValueError):
-            assert outcome() == bulk  # the walker alone: same values or the same message
+    def test_missing_features_do_not_fall_back_to_a_gz_sibling(self, tmp_path):
+        (tmp_path / "feats.csv.gz").write_bytes(gzip.compress(b"1.0,2.0\n3.0,4.0\n"))
+        bulk, walker = feature_outcomes(tmp_path / "feats.csv")
+        assert bulk == walker and bulk[0] == "error"
+        assert "cannot read features" in bulk[1]
+
+    def test_url_features_are_not_fetched(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # where numpy would cache a download
+        fetched = []
+
+        def fake_urlopen(url, *args, **kwargs):
+            fetched.append(url)
+            return io.BytesIO(b"1.0,2.0\n3.0,4.0\n")
+
+        monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+        bulk, walker = feature_outcomes("http://localhost/feats.csv")
+        assert bulk == walker and bulk[0] == "error"
+        assert "cannot read features" in bulk[1]
+        assert fetched == [] and list(tmp_path.iterdir()) == []
 
 
 class TestGraphStructure:
