@@ -504,20 +504,22 @@ def forward(model: GnnModel, g: Graph, batch, seed: int) -> np.ndarray:
         raise SchemaError(f"seed {seed} must be non-negative")
 
     # frontier[k]: sorted nodes whose layer-k output is needed; samples[k]
-    # holds the layer-(k + 1) samples of frontier[k + 1], one row per node
+    # holds the layer-(k + 1) samples of frontier[k + 1], one row per node.
+    # Layer 0 reads every node's features, so its rows come straight from the
+    # graph, widened to float64 as they are gathered.
     frontier, samples = [np.unique(batch)], []
     for k in range(cfg.num_layers, 0, -1):
         drawn = sample_frontier(g, frontier[0], cfg.sample_sizes[k - 1], seed, k)
         samples.insert(0, drawn)
-        frontier.insert(0, np.union1d(frontier[0], drawn))
+        frontier.insert(0, np.union1d(frontier[0], drawn) if k > 1 else np.arange(g.num_nodes))
 
-    h = g.features[frontier[0]]
+    h = g.features
     for k, lw in enumerate(model.layers):
         below, centers = frontier[k], frontier[k + 1]
         u, idx = np.unique(samples[k], return_inverse=True)
         idx = idx.reshape(samples[k].shape)
-        h_u = h[np.searchsorted(below, u)]
-        h_v = h[np.searchsorted(below, centers)]
+        h_u = h[np.searchsorted(below, u)].astype(np.float64, copy=False)
+        h_v = h[np.searchsorted(below, centers)].astype(np.float64, copy=False)
         with np.errstate(all="ignore"):
             # looked up per call, so a wrapper swapped onto the module attribute is called
             a_v = globals()[f"aggregate_{cfg.variant.value}"](g, lw, h_u, idx, u, h_v, centers)

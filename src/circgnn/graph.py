@@ -4,12 +4,17 @@ Graphs are directed and stored in CSR form: ``csr_offsets`` has one entry
 per node plus a terminator, ``csr_neighbors`` holds the out-neighbors of
 node v in the half-open slice ``csr_offsets[v]:csr_offsets[v+1]``.
 Datasets that are logically undirected are expected to list both arcs.
-Node features, when present, sit in a dense (num_nodes, feature_dim) array.
+Node features, when present, sit in a dense (num_nodes, feature_dim) array:
+float32 when every value is exactly a float32, as 0/1 features are, and
+float64 otherwise; ``gnn.forward`` widens layer 0's rows to float64 as it
+gathers them.  Both text loaders parse a well-formed file in bulk, in chunks
+of whole lines, and fall back to a line walker that names the bad line.
 """
 
 from __future__ import annotations
 
 import functools
+import io
 import itertools
 import warnings
 from dataclasses import dataclass, field
@@ -17,6 +22,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputParseError, SchemaError
+
+
+# Characters of text per ``loadtxt`` call of a bulk parse: bounds its temporaries.
+_BULK_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -56,7 +65,10 @@ class Graph:
     def __post_init__(self):
         self.csr_offsets = np.asarray(self.csr_offsets, dtype=np.int64)
         self.csr_neighbors = np.asarray(self.csr_neighbors, dtype=np.int64)
-        self.features = np.asarray(self.features, dtype=np.float64)
+        features = np.asarray(self.features)  # float32 stays: forward widens as it gathers
+        if features.dtype != np.float32:
+            features = np.asarray(features, dtype=np.float64)
+        self.features = features
         if self.num_nodes < 1:
             raise SchemaError("graph must have at least one node")
         if self.csr_offsets.shape != (self.num_nodes + 1,):
@@ -106,6 +118,24 @@ def load_edge_list(path, feature_path=None) -> Graph:
     seen plus one.  The feature file, when given, must hold one CSV row of
     reals per node.
     """
+    pairs = np.unique(_load_arcs(path), axis=0)
+    num_nodes = int(pairs.max()) + 1
+
+    features = None
+    if feature_path is not None:
+        features = _load_feature_csv(feature_path)
+        if features.shape[0] != num_nodes:
+            raise SchemaError(
+                f"{feature_path}: {features.shape[0]} feature rows for {num_nodes} nodes"
+            )
+    return _build_csr(num_nodes, pairs, features)
+
+
+def _load_arcs(path) -> np.ndarray:
+    """Parse a well-formed edge list in bulk; walk any other line by line, naming the bad line."""
+    pairs = _bulk_parse(path, np.int64)
+    if pairs is not None and pairs.shape[1] == 2 and pairs.min() >= 0:
+        return pairs
     src, dst = [], []
     for lineno, text in _content_lines(path, "edge list"):
         tokens = text.split()
@@ -121,18 +151,7 @@ def load_edge_list(path, feature_path=None) -> Graph:
         dst.append(d)
     if not src:
         raise InputParseError(f"{path}: empty edge list describes no graph")
-
-    pairs = np.unique(np.column_stack([src, dst]), axis=0)
-    num_nodes = int(pairs.max()) + 1
-
-    features = None
-    if feature_path is not None:
-        features = _load_feature_csv(feature_path)
-        if features.shape[0] != num_nodes:
-            raise SchemaError(
-                f"{feature_path}: {features.shape[0]} feature rows for {num_nodes} nodes"
-            )
-    return _build_csr(num_nodes, pairs, features)
+    return np.column_stack([src, dst])
 
 
 def _content_lines(path, what: str):
@@ -148,17 +167,52 @@ def _content_lines(path, what: str):
             yield lineno, text
 
 
-def _load_feature_csv(path) -> np.ndarray:
-    """Parse a well-formed file in bulk; walk any other line by line, naming the bad line."""
-    # a handle, not a name: numpy would try .gz siblings, decompress and fetch URLs
+def _bulk_parse(path, dtype, delimiter=None) -> np.ndarray | None:
+    """The rows of a file's lines, ``#`` lines dropped, or None if it is not a plain table.
+
+    Chunks of whole lines go to ``loadtxt`` from a handle, not a name (numpy
+    would try .gz siblings, decompress and fetch URLs), into one array sized
+    by the line count; floats are stored as float32 while every value fits.
+    """
     try:
         with open(path) as fh, warnings.catch_warnings():
-            warnings.simplefilter("error", UserWarning)  # loadtxt warns on an empty file
-            rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
-        if np.isfinite(rows).all():
-            return rows
-    except (OSError, ValueError, UserWarning):  # UnicodeDecodeError is a ValueError
-        pass
+            warnings.simplefilter("error")  # e.g. loadtxt's warning on lines with no data
+            if not fh.seekable():  # a pipe is read once, into memory, so that it can be counted
+                fh = io.StringIO(fh.read())
+            total = sum(1 for _ in fh)
+            fh.seek(0)
+            out, done = None, 0
+            while lines := fh.readlines(_BULK_CHUNK):
+                kept = [line for line in lines if not line.lstrip().startswith("#")]
+                rows = np.loadtxt(kept, dtype=dtype, delimiter=delimiter, comments=None, ndmin=2)
+                if out is None:
+                    store = np.float32 if rows.dtype.kind == "f" else rows.dtype
+                    out = np.zeros((total, rows.shape[1]), store)
+                if rows.shape[1] != out.shape[1]:
+                    return None
+                out = _put(out, done, rows)
+                done += len(rows)
+    except (OSError, ValueError, Warning):  # UnicodeDecodeError is a ValueError
+        return None
+    return None if out is None else out[:done]
+
+
+def _put(out: np.ndarray, at: int, rows: np.ndarray) -> np.ndarray:
+    """out with rows written from row ``at``, widened to float64 if float32 cannot hold them."""
+    block = out[at : at + len(rows)]
+    with np.errstate(over="ignore"):  # a value past float32's range casts to inf: not exact
+        block[...] = rows
+    if not (block == rows).all():
+        out = out.astype(np.float64)
+        out[at : at + len(rows)] = rows
+    return out
+
+
+def _load_feature_csv(path) -> np.ndarray:
+    """Parse a well-formed file in bulk; walk any other line by line, naming the bad line."""
+    rows = _bulk_parse(path, np.float64, delimiter=",")
+    if rows is not None and np.isfinite(rows).all():
+        return rows
     rows = []
     width = None
     for lineno, text in _content_lines(path, "features"):
@@ -177,7 +231,7 @@ def _load_feature_csv(path) -> np.ndarray:
         rows.append(row)
     if not rows:
         raise InputParseError(f"{path}: empty feature file")
-    return np.vstack(rows)
+    return _put(np.zeros((len(rows), width), np.float32), 0, np.vstack(rows))
 
 
 def sample_neighbors(g: Graph, v: int, sample_size: int, seed: int) -> np.ndarray:

@@ -8,7 +8,9 @@ vectors) use the same shape with cols == 1 and block_size == 1.  Sizes must
 be JSON integers and values a flat list of finite numbers (no text,
 booleans, nulls or nesting); anything else is an InputParseError.  A weight
 file's layer objects hold the slots of ``LayerWeights``, the per-head slots
-as lists.
+as lists.  ``load_weights`` turns each entry's values into an array as soon
+as the decoder closes the entry, so only one entry's Python floats are alive
+at a time.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ from .errors import InputParseError, SchemaError
 from .gnn import VECTOR_SLOTS, GnnModelConfig, LayerWeights, Variant, map_slots
 
 
-def _read_json(path) -> dict:
+def _read_json(path, object_hook=None) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, object_hook=object_hook)
     except (OSError, UnicodeDecodeError) as exc:
         raise InputParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -94,25 +96,41 @@ def _integer(doc: dict, key: str, context: str) -> int:
     return value
 
 
+def _flat_numbers(raw) -> np.ndarray | None:
+    """raw as a float64 array if it is a flat list of numbers, booleans excluded; else None."""
+    if isinstance(raw, np.ndarray) and raw.dtype == np.float64 and raw.ndim == 1:
+        return raw  # the load hook's array: it passed this test as the entry was decoded
+    try:  # no dtype, so that text, booleans, nulls and nesting show in kind and ndim
+        flat = np.asarray(raw)
+    except ValueError:  # ragged nesting
+        return None
+    if (
+        flat.dtype.kind not in "iuf"
+        or flat.ndim != 1
+        # numpy reads booleans among numbers as 0 and 1, so only those entries can be one
+        or any(type(raw[i]) is bool for i in np.flatnonzero((flat == 0) | (flat == 1)))
+    ):
+        return None
+    return flat.astype(np.float64, copy=False)
+
+
+def _entry_arrays(doc: dict) -> dict:
+    """JSON object hook: valid defining_vectors become an array; any other value stays as read."""
+    flat = _flat_numbers(doc.get("defining_vectors"))
+    if flat is not None:
+        doc["defining_vectors"] = flat
+    return doc
+
+
 def parse_weight_entry(doc: dict, context: str, as_vector: bool = False):
     """Inverse of :func:`weight_entry`; block_size 1 loads as a dense array."""
     if not isinstance(doc, dict):
         raise SchemaError(f"{context}: weight entry must be an object")
     rows, cols, n = (_integer(doc, key, context) for key in ("rows", "cols", "block_size"))
     raw = _require(doc, "defining_vectors", context)
-    try:  # no dtype, so that text, booleans, nulls and nesting show in kind and ndim
-        flat = np.asarray(raw)
-    except ValueError:  # ragged nesting
-        flat = None
-    if (
-        flat is None
-        or flat.dtype.kind not in "iuf"
-        or flat.ndim != 1
-        # numpy reads booleans among numbers as 0 and 1, so only those entries can be one
-        or any(type(raw[i]) is bool for i in np.flatnonzero((flat == 0) | (flat == 1)))
-    ):
+    flat = _flat_numbers(raw)
+    if flat is None:
         raise InputParseError(f"{context}: defining_vectors must be a flat list of numbers")
-    flat = flat.astype(np.float64, copy=False)
     if not np.isfinite(flat).all():
         raise InputParseError(f"{context}: non-finite weight value")
     if rows < 1 or cols < 1 or n < 1:
@@ -146,7 +164,7 @@ def save_weights(layers: list[LayerWeights], path) -> None:
 
 
 def load_weights(path) -> list[LayerWeights]:
-    doc = _read_json(path)
+    doc = _read_json(path, object_hook=_entry_arrays)
     if not isinstance(doc, dict) or not isinstance(doc.get("layers"), list):
         raise SchemaError(f"{path}: weight file must be an object with a 'layers' list")
     layers = []

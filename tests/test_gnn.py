@@ -622,6 +622,32 @@ class TestForward:
         for v, row in zip(batch, whole):
             assert np.array_equal(row, forward(model, g, [v], seed=13)[0])
 
+    @pytest.mark.parametrize("dense", [False, True], ids=["compressed", "dense"])
+    @pytest.mark.parametrize("variant", ["gcn", "gspool", "ggcn", "gat"])
+    def test_float32_features_give_the_float64_outputs(self, variant, dense):
+        g, cfg = _graph_and_config(variant, block_size=1 if dense else 8)
+        narrow = dataclasses.replace(g, features=g.features.astype(np.float32))
+        wide = dataclasses.replace(g, features=narrow.features.astype(np.float64))
+        assert (narrow.features.dtype, wide.features.dtype) == (np.float32, np.float64)
+        model = GnnModel(cfg, random_weights(cfg, seed=37))
+        batch = list(range(g.num_nodes))
+        assert np.array_equal(forward(model, narrow, batch, seed=7),
+                              forward(model, wide, batch, seed=7))
+
+    def test_layer_zero_rows_reach_the_aggregation_as_float64(self, monkeypatch):
+        g, cfg = _graph_and_config("gcn")
+        g = dataclasses.replace(g, features=g.features.astype(np.float32))
+        model = GnnModel(cfg, random_weights(cfg, seed=37))
+        seen, aggregate = [], gnn.aggregate_gcn
+
+        def recording(g, lw, h_u, idx, u, h_v, v):
+            seen.append((h_u.dtype, h_v.dtype))
+            return aggregate(g, lw, h_u, idx, u, h_v, v)
+
+        monkeypatch.setattr(gnn, "aggregate_gcn", recording)
+        forward(model, g, [0, 7], seed=2)
+        assert seen == [(np.float64, np.float64)] * cfg.num_layers
+
     def test_seed_changes_output(self):
         g, cfg = _graph_and_config("gcn")
         model = GnnModel(cfg, random_weights(cfg, seed=4))

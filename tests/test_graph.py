@@ -1,7 +1,9 @@
 """Edge-list loading, CSR adjacency, neighbor sampling."""
 
+import contextlib
 import gzip
 import io
+import os
 import urllib.request
 from unittest import mock
 
@@ -37,6 +39,20 @@ def feature_outcomes(path):
     def outcome():
         try:
             return "ok", graph._load_feature_csv(path).tolist()
+        except InputParseError as exc:
+            return "error", str(exc)
+
+    bulk = outcome()
+    with mock.patch.object(graph.np, "loadtxt", side_effect=ValueError):
+        return bulk, outcome()
+
+
+def edge_outcomes(path):
+    """(bulk parse, line walker alone) outcome of reading arcs: ("ok", pairs) or ("error", text)."""
+
+    def outcome():
+        try:
+            return "ok", graph._load_arcs(path).tolist()
         except InputParseError as exc:
             return "error", str(exc)
 
@@ -142,6 +158,73 @@ class TestLoader:
         bulk, walker = feature_outcomes(feats)
         assert bulk == walker  # same values or the same message
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(
+        st.lists(st.sampled_from(["0", "1", "7", "+1", "-1", "-0", "1_0", "1.0", "x", "#", "#c",
+                                  "1#", "\t", "\x0c", "\xa0", "9223372036854775807",
+                                  "9223372036854775808", "-9223372036854775809"]),
+                 min_size=1, max_size=3).map(" ".join)
+        | st.sampled_from(["", "  ", "\t", "# header", "  # indented", "0 1 # inline",
+                           "\ufeff0 1"]),
+        max_size=6,
+    ))
+    def test_bulk_edge_parse_matches_the_line_walker(self, tmp_path_factory, lines):
+        edges = tmp_path_factory.mktemp("edges") / "edges.txt"
+        edges.write_text("\n".join(lines) + "\n")
+        bulk, walker = edge_outcomes(edges)
+        assert bulk == walker  # same arcs or the same message
+
+    def test_well_formed_edges_skip_the_line_walker(self, tmp_path, monkeypatch):
+        edges = write_edges(tmp_path, "# header\n0 1\n\n  # note\n2 9223372036854775807\n")
+        monkeypatch.setattr(graph, "_content_lines", None)  # a walker call would fail
+        assert graph._load_arcs(edges).tolist() == [[0, 1], [2, 2**63 - 1]]
+
+    @pytest.mark.parametrize("walker", [False, True], ids=["bulk", "walker"])
+    def test_binary_features_load_as_float32(self, tmp_path, walker):
+        edges = write_edges(tmp_path, "0 1\n1 2\n")
+        feats = tmp_path / "feats.csv"
+        feats.write_text("# a comment\n0,1\n1,0\n-0,1\n")
+        walk = mock.patch.object(graph.np, "loadtxt", side_effect=ValueError)
+        with walk if walker else contextlib.nullcontext():
+            g = load_edge_list(edges, feature_path=feats)
+        assert g.features.dtype == np.float32
+        assert g.features.tolist() == [[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]]
+
+    @pytest.mark.parametrize("value", ["0.1", "5e-324", "1e300"])
+    def test_features_float32_cannot_hold_load_as_float64(self, tmp_path, value):
+        feats = tmp_path / "feats.csv"
+        feats.write_text(f"1,0.5\n{value},2\n")
+        rows = graph._load_feature_csv(feats)
+        assert rows.dtype == np.float64
+        assert rows.tolist() == [[1.0, 0.5], [float(value), 2.0]]
+
+    def test_a_later_inexact_chunk_widens_every_row(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(graph, "_BULK_CHUNK", 8)  # a line or two per chunk
+        values = [[0.0, 1.0], [1.0, 0.0], [0.25, 3.0], [1.0, 1.0], [0.1, 0.0], [2.0, 1e-300]]
+        feats = tmp_path / "feats.csv"
+        feats.write_text("".join(f"{a!r},{b!r}\n" for a, b in values))
+        monkeypatch.setattr(graph, "_content_lines", None)  # the bulk path must do it
+        rows = graph._load_feature_csv(feats)
+        assert rows.dtype == np.float64
+        assert rows.tolist() == values
+
+    def test_a_later_chunk_of_another_width_reaches_the_line_walker(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(graph, "_BULK_CHUNK", 8)  # a line or two per chunk
+        feats = tmp_path / "feats.csv"
+        feats.write_text("0,1\n1,0\n0,0\n1\n")
+        bulk, walker = feature_outcomes(feats)
+        assert bulk == walker == ("error", f"{feats}:4: row has 1 values, expected 2")
+
+    def test_features_from_a_pipe_load(self):
+        read, write = os.pipe()
+        os.write(write, b"0,1\n1,0.5\n")
+        os.close(write)
+        try:
+            rows = graph._load_feature_csv(f"/dev/fd/{read}")
+        finally:
+            os.close(read)
+        assert rows.dtype == np.float32 and rows.tolist() == [[0.0, 1.0], [1.0, 0.5]]
+
     def test_gzip_features_are_not_decompressed(self, tmp_path):
         feats = tmp_path / "feats.csv.gz"
         feats.write_bytes(gzip.compress(b"1.0,2.0\n3.0,4.0\n"))
@@ -190,6 +273,14 @@ class TestGraphStructure:
         g = load_edge_list(write_edges(tmp_path, "0 1\n1 0\n"))
         with pytest.raises(ValueError):
             g.csr_neighbors[0] = 5
+
+    def test_float32_features_stay_float32_and_others_become_float64(self):
+        offsets, neighbors = [0, 1, 2], [1, 0]
+        kept = {np.float32: np.float32, np.float64: np.float64, np.float16: np.float64,
+                np.int64: np.float64, bool: np.float64}
+        for given_dtype, kept_dtype in kept.items():
+            g = Graph(2, offsets, neighbors, np.ones((2, 3), dtype=given_dtype))
+            assert g.features.dtype == kept_dtype and g.features.tolist() == [[1.0] * 3] * 2
 
     def test_bad_csr_rejected(self):
         with pytest.raises(SchemaError):

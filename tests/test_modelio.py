@@ -1,13 +1,14 @@
 """JSON round-trips for configs and weights."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from circgnn.circulant import BlockCirculantMatrix, new_random, to_dense
 from circgnn.errors import InputParseError, SchemaError
-from circgnn.gnn import GnnModelConfig, random_weights
+from circgnn.gnn import GnnModelConfig, LayerWeights, random_weights
 from circgnn.modelio import (
     load_model_config,
     load_weights,
@@ -189,3 +190,37 @@ class TestWeightFiles:
         path.write_text(json.dumps({"layers": [{"W": good}, {"W": bad}]}))
         with pytest.raises(SchemaError, match="layer 1"):
             load_weights(path)
+
+    @pytest.mark.parametrize("values", [[1.0, True], [None, 1.0], ["1.5", 2.0], [[1.0], [2.0]],
+                                        [[1.0, 2.0], [3.0]]])
+    @pytest.mark.parametrize("where", ["next layer", "same layer"])
+    def test_bad_entry_after_a_valid_one_gives_the_same_message(self, tmp_path, values, where):
+        good = weight_entry(np.ones((2, 1)))
+        bad = {"rows": 2, "cols": 1, "block_size": 1, "defining_vectors": values}
+        layers = [{"W": good}, {"W": bad}] if where == "next layer" else [{"W": good, "W_C": bad}]
+        label = "layer 1: W" if where == "next layer" else "layer 0: W_C"
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"layers": layers}))
+        with pytest.raises(InputParseError) as exc:
+            load_weights(path)
+        message = "defining_vectors must be a flat list of numbers"
+        assert str(exc.value) == f"{path}: {label}: {message}"
+        assert exc.value.exit_code == 2
+
+    def test_only_one_entry_of_python_floats_is_alive_at_a_time(self, tmp_path):
+        # short values, so that the Python floats of a matrix (a 24-byte float and an
+        # 8-byte list slot per value) outweigh the text they are decoded from
+        values = (np.arange(120 * 120) % 13 / 4).reshape(120, 120)
+        path = tmp_path / "w.json"
+        save_weights([LayerWeights(W=values) for _ in range(4)], path)
+        floats, array = values.size * (24 + 8), values.size * 8
+        tracemalloc.start()
+        try:
+            back = load_weights(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(np.array_equal(lw.W, values) for lw in back)
+        # the text, two matrices' worth of Python floats and the four arrays; building
+        # the arrays only after the whole file is decoded holds four matrices' floats
+        assert peak < path.stat().st_size + 2 * floats + 4 * array
