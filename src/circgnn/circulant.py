@@ -49,6 +49,9 @@ import numpy as np
 
 from .errors import InternalConsistencyError, SchemaError
 
+# Largest block size to project: the diagonal counts take p * q * n entries.
+MAX_BLOCK_SIZE = 2**16
+
 @dataclass
 class OpCounts:
     """Work counters: transform calls count individual length-n transforms."""
@@ -221,6 +224,8 @@ def project_to_block_circulant(dense, block_size: int) -> BlockCirculantMatrix:
         raise SchemaError("projection input must be a matrix")
     rows, cols = dense.shape
     require_power_of_two(block_size, 2)
+    if block_size > MAX_BLOCK_SIZE:
+        raise SchemaError(f"block size must be at most {MAX_BLOCK_SIZE}, got {block_size}")
     n = block_size
     p, q = block_counts(rows, cols, n)
 

@@ -7,14 +7,14 @@ Datasets that are logically undirected are expected to list both arcs.
 Node features, when present, sit in a dense (num_nodes, feature_dim) array:
 float32 when every value is exactly a float32, as 0/1 features are, and
 float64 otherwise; ``gnn.forward`` widens layer 0's rows to float64 as it
-gathers them.  Both text loaders parse a well-formed file in bulk, in chunks
-of whole lines, and fall back to a line walker that names the bad line.
+gathers them.  Both text formats go through one reader: it parses chunks of
+whole lines in bulk and walks line by line only a chunk that the bulk parse
+rejects, keeping lenient tokens and naming a bad line.
 """
 
 from __future__ import annotations
 
 import functools
-import io
 import itertools
 import warnings
 from dataclasses import dataclass, field
@@ -24,7 +24,7 @@ import numpy as np
 from .errors import InputParseError, SchemaError
 
 
-# Characters of text per ``loadtxt`` call of a bulk parse: bounds its temporaries.
+# Characters of text per chunk of ``_read_rows``: bounds its temporaries.
 _BULK_CHUNK = 1 << 18
 
 
@@ -132,106 +132,85 @@ def load_edge_list(path, feature_path=None) -> Graph:
 
 
 def _load_arcs(path) -> np.ndarray:
-    """Parse a well-formed edge list in bulk; walk any other line by line, naming the bad line."""
-    pairs = _bulk_parse(path, np.int64)
-    if pairs is not None and pairs.shape[1] == 2 and pairs.min() >= 0:
-        return pairs
-    src, dst = [], []
-    for lineno, text in _content_lines(path, "edge list"):
-        tokens = text.split()
-        if len(tokens) != 2:
-            raise InputParseError(f"{path}:{lineno}: expected 'src dst', got {text!r}")
-        try:
-            s, d = int(tokens[0]), int(tokens[1])
-        except ValueError as exc:
-            raise InputParseError(f"{path}:{lineno}: non-integer node ID in {text!r}") from exc
-        if not (0 <= s < 2**63 and 0 <= d < 2**63):  # IDs are stored as int64
-            raise InputParseError(f"{path}:{lineno}: node ID outside [0, 2**63) in {text!r}")
-        src.append(s)
-        dst.append(d)
-    if not src:
+    rows = _read_rows(path, "edge list", np.int64, None, _arc_row)
+    if rows is None:
         raise InputParseError(f"{path}: empty edge list describes no graph")
-    return np.column_stack([src, dst])
+    return rows
 
 
-def _content_lines(path, what: str):
-    """Yield (line number, stripped text) of each line that is not blank or a ``#`` comment."""
+def _arc_row(path, lineno: int, text: str, width) -> tuple[int, int]:
+    tokens = text.split()
+    if len(tokens) != 2:
+        raise InputParseError(f"{path}:{lineno}: expected 'src dst', got {text!r}")
     try:
-        with open(path) as fh:
-            lines = fh.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputParseError(f"cannot read {what} {path}: {exc}") from exc
-    for lineno, line in enumerate(lines, start=1):
-        text = line.strip()
-        if text and not text.startswith("#"):
-            yield lineno, text
-
-
-def _bulk_parse(path, dtype, delimiter=None) -> np.ndarray | None:
-    """The rows of a file's lines, ``#`` lines dropped, or None if it is not a plain table.
-
-    Chunks of whole lines go to ``loadtxt`` from a handle, not a name (numpy
-    would try .gz siblings, decompress and fetch URLs), into one array sized
-    by the line count; floats are stored as float32 while every value fits.
-    """
-    try:
-        with open(path) as fh, warnings.catch_warnings():
-            warnings.simplefilter("error")  # e.g. loadtxt's warning on lines with no data
-            if not fh.seekable():  # a pipe is read once, into memory, so that it can be counted
-                fh = io.StringIO(fh.read())
-            total = sum(1 for _ in fh)
-            fh.seek(0)
-            out, done = None, 0
-            while lines := fh.readlines(_BULK_CHUNK):
-                kept = [line for line in lines if not line.lstrip().startswith("#")]
-                rows = np.loadtxt(kept, dtype=dtype, delimiter=delimiter, comments=None, ndmin=2)
-                if out is None:
-                    store = np.float32 if rows.dtype.kind == "f" else rows.dtype
-                    out = np.zeros((total, rows.shape[1]), store)
-                if rows.shape[1] != out.shape[1]:
-                    return None
-                out = _put(out, done, rows)
-                done += len(rows)
-    except (OSError, ValueError, Warning):  # UnicodeDecodeError is a ValueError
-        return None
-    return None if out is None else out[:done]
-
-
-def _put(out: np.ndarray, at: int, rows: np.ndarray) -> np.ndarray:
-    """out with rows written from row ``at``, widened to float64 if float32 cannot hold them."""
-    block = out[at : at + len(rows)]
-    with np.errstate(over="ignore"):  # a value past float32's range casts to inf: not exact
-        block[...] = rows
-    if not (block == rows).all():
-        out = out.astype(np.float64)
-        out[at : at + len(rows)] = rows
-    return out
+        s, d = int(tokens[0]), int(tokens[1])
+    except ValueError as exc:
+        raise InputParseError(f"{path}:{lineno}: non-integer node ID in {text!r}") from exc
+    if not (0 <= s < 2**63 and 0 <= d < 2**63):  # IDs are stored as int64
+        raise InputParseError(f"{path}:{lineno}: node ID outside [0, 2**63) in {text!r}")
+    return s, d
 
 
 def _load_feature_csv(path) -> np.ndarray:
-    """Parse a well-formed file in bulk; walk any other line by line, naming the bad line."""
-    rows = _bulk_parse(path, np.float64, delimiter=",")
-    if rows is not None and np.isfinite(rows).all():
-        return rows
-    rows = []
-    width = None
-    for lineno, text in _content_lines(path, "features"):
-        try:
-            row = np.array(text.split(","), dtype=np.float64)
-        except ValueError as exc:
-            raise InputParseError(f"{path}:{lineno}: non-numeric feature value") from exc
-        if not np.isfinite(row).all():
-            raise InputParseError(f"{path}:{lineno}: non-finite feature value")
-        if width is None:
-            width = row.size
-        elif row.size != width:
-            raise InputParseError(
-                f"{path}:{lineno}: row has {row.size} values, expected {width}"
-            )
-        rows.append(row)
-    if not rows:
+    rows = _read_rows(path, "features", np.float64, ",", _feature_row)
+    if rows is None:
         raise InputParseError(f"{path}: empty feature file")
-    return _put(np.zeros((len(rows), width), np.float32), 0, np.vstack(rows))
+    return rows
+
+
+def _feature_row(path, lineno: int, text: str, width) -> np.ndarray:
+    try:
+        row = np.array(text.split(","), dtype=np.float64)
+    except ValueError as exc:
+        raise InputParseError(f"{path}:{lineno}: non-numeric feature value") from exc
+    if not np.isfinite(row).all():
+        raise InputParseError(f"{path}:{lineno}: non-finite feature value")
+    if width is not None and row.size != width:
+        raise InputParseError(f"{path}:{lineno}: row has {row.size} values, expected {width}")
+    return row
+
+
+def _read_rows(path, what: str, dtype, delimiter, parse_line) -> np.ndarray | None:
+    """The rows of a text table, blank and ``#`` lines dropped, or None if it has none.
+
+    ``loadtxt`` parses each chunk of whole lines from the lines, never a name
+    (numpy would try .gz siblings and URLs).  A chunk it rejects, or whose rows
+    fail the format's checks, is walked with ``parse_line(path, lineno, text,
+    width)``, which returns the row or raises naming the line.
+    """
+    out, first = np.empty((0, 0), bool), 1  # bool promotes to any row dtype
+    try:
+        with open(path) as fh:
+            while lines := fh.readlines(_BULK_CHUNK):
+                kept = [line for line in lines if not line.lstrip().startswith("#")]
+                try:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")  # loadtxt warns on a chunk with no data
+                        rows = np.loadtxt(kept, dtype, delimiter=delimiter, comments=None, ndmin=2)
+                    ok = out.shape[1] in (0, rows.shape[1]) and (
+                        np.isfinite(rows).all() if rows.dtype.kind == "f"  # features
+                        else rows.shape[1] == 2 and rows.min() >= 0)  # node IDs
+                except (ValueError, Warning):
+                    ok = False
+                if not ok:  # lenient tokens such as 1_0 load here; a bad line is named
+                    rows, width = [], out.shape[1] or None
+                    for lineno, line in enumerate(lines, start=first):
+                        if (text := line.strip()) and not text.startswith("#"):
+                            rows.append(parse_line(path, lineno, text, width))
+                            width = len(rows[-1])
+                    rows = np.array(rows, dtype)
+                first += len(lines)
+                if rows.dtype.kind == "f":
+                    with np.errstate(over="ignore"):  # past float32's range is inf: not exact
+                        narrow = rows.astype(np.float32)
+                    rows = narrow if (narrow == rows).all() else rows
+                if len(rows):  # out grows by realloc: no parts list and joined copy coexist
+                    out = out.astype(np.result_type(out, rows), copy=False)
+                    out.resize((len(out) + len(rows), rows.shape[1]), refcheck=False)
+                    out[-len(rows):] = rows
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputParseError(f"cannot read {what} {path}: {exc}") from exc
+    return out if len(out) else None
 
 
 def sample_neighbors(g: Graph, v: int, sample_size: int, seed: int) -> np.ndarray:

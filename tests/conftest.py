@@ -1,6 +1,10 @@
+import types
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+
+from circgnn import circulant
 
 settings.register_profile(
     "ci",
@@ -10,6 +14,18 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("ci")
+
+
+@pytest.fixture
+def no_projection_counts(monkeypatch):
+    """Any ``np.bincount`` call in ``circulant`` fails: a projection must not reach its counts."""
+
+    def bincount(*args, **kwargs):
+        raise AssertionError("project_to_block_circulant reached np.bincount")
+
+    numpy = types.ModuleType("numpy")
+    numpy.__dict__.update(vars(np), bincount=bincount)
+    monkeypatch.setattr(circulant, "np", numpy)
 
 
 @pytest.fixture(scope="session")

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circgnn.circulant import (
+    MAX_BLOCK_SIZE,
     BlockCirculantMatrix,
     bc_matvec,
     compression_stats,
@@ -272,6 +273,12 @@ class TestProjection:
         for k in range(-3, 4):
             assert got[k % 1024] == pytest.approx(np.mean(np.diagonal(dense, -k)), abs=1e-15)
         assert not got[4:1021].any()
+
+    def test_block_sizes_up_to_the_limit_project(self):
+        got = project_to_block_circulant(np.eye(2), MAX_BLOCK_SIZE).defining_vectors
+        assert got.shape == (1, 1, MAX_BLOCK_SIZE) and got[0, 0, 0] == 1.0
+        with pytest.raises(SchemaError, match=f"at most {MAX_BLOCK_SIZE}"):
+            project_to_block_circulant(np.eye(2), 2 * MAX_BLOCK_SIZE)
 
 
 # --- the spectral matvec path -------------------------------------------------

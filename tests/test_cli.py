@@ -11,12 +11,14 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circgnn import graph
 from circgnn.circulant import BlockCirculantMatrix
 from circgnn.cli import build_parser, main
 from circgnn.gnn import GnnModel, GnnModelConfig, Variant, random_weights
@@ -221,6 +223,13 @@ class TestCompress:
         row = json.loads(report_path.read_text())["outputs"]["per_matrix"][0]
         assert row["frobenius_error"] == 0.0
         assert row["compute_reduction"] == 1.0
+
+    def test_block_size_past_the_limit_exits_3_before_counting(
+        self, dense_weights, capsys, no_projection_counts
+    ):
+        path, _ = dense_weights
+        assert main(["compress", "--weights", str(path), "--block-size", str(2**40)]) == 3
+        assert f"block size must be at most {2**16}, got {2**40}" in capsys.readouterr().err
 
     def test_already_compressed_input_exits_3(self, tmp_path):
         proc = run_cli("compress", "--weights", DATA / "five_nodes_weights.json",
@@ -666,3 +675,15 @@ def test_file_that_is_not_utf8_exits_2(tmp_path, option):
     latin1 = tmp_path / "latin1"
     latin1.write_bytes(b"\xff" + LOADED_FILES[option].read_bytes())
     assert _infer_with(option, latin1) == 2
+
+
+@pytest.mark.parametrize("option", ["--graph", "--features"])
+def test_invalid_utf8_after_a_valid_first_chunk_exits_2(tmp_path, monkeypatch, capsys, option):
+    monkeypatch.setattr(graph, "_BULK_CHUNK", 64)
+    late = tmp_path / "late"  # text is decoded 8 KiB at a time: the bad byte lies past that
+    late.write_bytes(b"# padding\n" * 1000 + LOADED_FILES[option].read_bytes() + b"\xff\n")
+    with mock.patch.object(graph.np, "loadtxt", wraps=np.loadtxt) as parsed:
+        assert _infer_with(option, late) == 2
+    assert parsed.called  # a chunk was parsed before the bad byte was read
+    what = "edge list" if option == "--graph" else "features"
+    assert f"error: cannot read {what} {late}" in capsys.readouterr().err

@@ -142,7 +142,7 @@ class TestLoader:
     def test_well_formed_features_skip_the_line_walker(self, tmp_path, monkeypatch):
         feats = tmp_path / "feats.csv"
         feats.write_text("1.0,2\n-3.5,4e2\n")
-        monkeypatch.setattr(graph, "_content_lines", None)  # a walker call would fail
+        monkeypatch.setattr(graph, "_feature_row", None)  # a walker call would fail
         assert np.array_equal(graph._load_feature_csv(feats), [[1.0, 2.0], [-3.5, 400.0]])
 
     @settings(max_examples=150, deadline=None)
@@ -176,7 +176,7 @@ class TestLoader:
 
     def test_well_formed_edges_skip_the_line_walker(self, tmp_path, monkeypatch):
         edges = write_edges(tmp_path, "# header\n0 1\n\n  # note\n2 9223372036854775807\n")
-        monkeypatch.setattr(graph, "_content_lines", None)  # a walker call would fail
+        monkeypatch.setattr(graph, "_arc_row", None)  # a walker call would fail
         assert graph._load_arcs(edges).tolist() == [[0, 1], [2, 2**63 - 1]]
 
     @pytest.mark.parametrize("walker", [False, True], ids=["bulk", "walker"])
@@ -203,7 +203,7 @@ class TestLoader:
         values = [[0.0, 1.0], [1.0, 0.0], [0.25, 3.0], [1.0, 1.0], [0.1, 0.0], [2.0, 1e-300]]
         feats = tmp_path / "feats.csv"
         feats.write_text("".join(f"{a!r},{b!r}\n" for a, b in values))
-        monkeypatch.setattr(graph, "_content_lines", None)  # the bulk path must do it
+        monkeypatch.setattr(graph, "_feature_row", None)  # the bulk path must do it
         rows = graph._load_feature_csv(feats)
         assert rows.dtype == np.float64
         assert rows.tolist() == values
@@ -224,6 +224,54 @@ class TestLoader:
         finally:
             os.close(read)
         assert rows.dtype == np.float32 and rows.tolist() == [[0.0, 1.0], [1.0, 0.5]]
+
+    def test_edges_from_a_pipe_load(self):
+        read, write = os.pipe()
+        os.write(write, b"# header\n0 1\n2 0\n")
+        os.close(write)
+        try:
+            pairs = graph._load_arcs(f"/dev/fd/{read}")
+        finally:
+            os.close(read)
+        assert pairs.dtype == np.int64 and pairs.tolist() == [[0, 1], [2, 0]]
+
+    @pytest.mark.parametrize("load, good, bad, message", [
+        (graph._load_arcs, "0 1", "1 x", "non-integer node ID in '1 x'"),
+        (graph._load_feature_csv, "0,1", "1,x", "non-numeric feature value"),
+    ], ids=["edges", "features"])
+    def test_a_bad_line_in_a_later_chunk_is_named_by_its_line_in_the_file(
+        self, tmp_path, monkeypatch, load, good, bad, message
+    ):
+        monkeypatch.setattr(graph, "_BULK_CHUNK", 8)  # two lines per chunk
+        path = tmp_path / "table.txt"
+        path.write_text("# header\n" + f"{good}\n" * 20 + f"{bad}\n{good}\n")
+        with pytest.raises(InputParseError) as exc:
+            load(path)
+        assert str(exc.value) == f"{path}:22: {message}"
+
+    @pytest.mark.parametrize("load, parser, row, last", [
+        (graph._load_arcs, "_arc_row", lambda i: f"{i} {i + 1}", "1_0 3"),
+        (graph._load_feature_csv, "_feature_row", lambda i: f"{i % 2},0.5", "1_0,0.5"),
+    ], ids=["edges", "features"])
+    def test_only_the_chunk_loadtxt_rejects_is_walked(
+        self, tmp_path, monkeypatch, load, parser, row, last
+    ):
+        monkeypatch.setattr(graph, "_BULK_CHUNK", 32)
+        path = tmp_path / "table.txt"
+        path.write_text("".join(f"{row(i)}\n" for i in range(40)) + f"# note\n{last}\n")
+        with open(path) as fh:
+            chunks = list(iter(lambda: fh.readlines(graph._BULK_CHUNK), []))
+        assert len(chunks) > 3
+        first = sum(map(len, chunks[:-1])) + 1  # the last chunk's first line number
+        with mock.patch.object(graph, parser, wraps=getattr(graph, parser)) as walked:
+            rows = load(path)
+        assert [c.args[1] for c in walked.call_args_list] == [
+            first + i for i, text in enumerate(chunks[-1]) if not text.startswith("#")
+        ]
+        with mock.patch.object(graph.np, "loadtxt", side_effect=ValueError):
+            walker = load(path)
+        assert rows.dtype == walker.dtype and rows.tolist() == walker.tolist()
+        assert rows[-1, 0] == 10
 
     def test_gzip_features_are_not_decompressed(self, tmp_path):
         feats = tmp_path / "feats.csv.gz"

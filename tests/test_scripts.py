@@ -34,6 +34,18 @@ def test_compression_sweep_rejects_a_negative_seed_with_exit_3(monkeypatch, caps
     assert "Traceback" not in err
 
 
+def test_compression_sweep_rejects_a_block_size_past_the_limit_with_exit_3(
+    monkeypatch, capsys, no_projection_counts
+):
+    with pytest.raises(SystemExit) as exc:
+        run_script(monkeypatch, capsys, "compression_sweep.py", "--dim", "16", "--nodes", "10",
+                   "--block-sizes", str(2**40))
+    assert exc.value.code == 3
+    err = capsys.readouterr().err
+    assert f"error: block size must be at most {2**16}, got {2**40}" in err
+    assert "Traceback" not in err
+
+
 def test_search_datasets_prints_one_row_per_dataset(monkeypatch, capsys):
     lines = run_script(monkeypatch, capsys, "search_datasets.py")
     names = [row[0] for row in map(str.split, lines) if row and row[0] in DATASET_STATS]
